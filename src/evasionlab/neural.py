@@ -13,7 +13,19 @@ Sequence handling: batches are (B, T, D) with a 0/1 mask (B, T) marking
 real steps; padding is always at the tail. Masked steps carry the previous
 state forward, so the state after step T-1 is the state at the last real
 step. The backward direction runs the same cell over each sample's
-reversed valid prefix.
+reversed valid prefix (reverse_padded); the padded tail stays in place.
+
+Scan layout: inside forward and backward everything is time-major. Each
+direction projects its whole input in one product, x (T*B, D) @ w_x.T + b,
+into a (T, B, 4H) gate slab; each step then adds one recurrent product
+into its (B, 4H) row block and activates it with one tanh call
+(sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5 on i, f, o). The backward
+direction reads its input through one gather index built from the
+lengths per forward call, and the same index puts its outputs and
+gradients back in input order. The tape keeps, per layer, the time-major
+input and, per direction, the activated gate slab, the carried c and h,
+and tanh of each step's fresh cell state; BPTT fills a gradient slab of
+the same (T, B, 4H) layout.
 """
 
 from __future__ import annotations
@@ -93,13 +105,29 @@ def _init_cell(rng: np.random.Generator, d: int, h: int) -> LstmCellParams:
     return LstmCellParams(w_x=w_x, w_h=w_h, b=b)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _gate_constants(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column (scale, shift) of the fused [i f g o] gate activation.
+
+    sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, so scale * tanh(scale * a) + shift
+    is the logistic sigmoid on the i, f and o columns (scale 0.5, shift 0.5)
+    and tanh on the g columns (scale 1, shift 0).
+    """
+    scale = np.full(4 * h, 0.5)
+    scale[2 * h : 3 * h] = 1.0
+    shift = np.full(4 * h, 0.5)
+    shift[2 * h : 3 * h] = 0.0
+    return scale, shift
+
+
+def _activate_gates(a: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> None:
+    """Turn gate pre-activations (..., 4H) into activations, in place.
+
+    tanh saturates instead of overflowing, so any finite input is safe.
+    """
+    a *= scale
+    np.tanh(a, out=a)
+    a *= scale
+    a += shift
 
 
 def lstm_cell_forward(
@@ -112,11 +140,9 @@ def lstm_cell_forward(
             f"cell shapes: x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
             f"vs w_x {p.w_x.shape}, w_h {p.w_h.shape}"
         )
-    a = x @ p.w_x.T + h_prev @ p.w_h.T + p.b
-    i = _sigmoid(a[..., 0 * h : 1 * h])
-    f = _sigmoid(a[..., 1 * h : 2 * h])
-    g = np.tanh(a[..., 2 * h : 3 * h])
-    o = _sigmoid(a[..., 3 * h : 4 * h])
+    gates = x @ p.w_x.T + h_prev @ p.w_h.T + p.b
+    _activate_gates(gates, *_gate_constants(h))
+    i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     h_out = o * tanh_c
@@ -124,28 +150,42 @@ def lstm_cell_forward(
     return h_out, c, cache
 
 
+def _reversed_steps(lengths: np.ndarray, t_len: int) -> np.ndarray:
+    """(B, T): the step reverse_padded reads for each output step."""
+    steps = np.arange(t_len)
+    n = np.asarray(lengths)[:, None]
+    return np.where(steps < n, n - 1 - steps, steps)
+
+
 def reverse_padded(arr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Reverse the first lengths[b] steps of each sample, leave the tail.
+    """Reverse the first lengths[b] steps of each sample (B, T, ...), leave the tail.
 
     An involution: applying it twice restores the input.
     """
-    out = arr.copy()
-    for b, n in enumerate(lengths):
-        out[b, :n] = arr[b, :n][::-1]
-    return out
+    src = _reversed_steps(lengths, arr.shape[1])
+    return arr[np.arange(arr.shape[0])[:, None], src]
+
+
+def _time_major_reversal(lengths: np.ndarray, t_len: int) -> np.ndarray:
+    """Row index that applies reverse_padded to a time-major (T, B, K) array
+    seen as (T * B, K) rows; see _gather_rows."""
+    b_sz = len(lengths)
+    return (_reversed_steps(lengths, t_len).T * b_sz + np.arange(b_sz)).ravel()
+
+
+def _gather_rows(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """arr (T, B, K) reordered by a (T * B,) row index, as a new array."""
+    return np.take(arr.reshape(rows.size, -1), rows, axis=0).reshape(arr.shape)
 
 
 @dataclass
 class _DirectionCache:
-    z: np.ndarray  # direction-ordered inputs (B, T, D)
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
-    c_new: np.ndarray
-    tanh_c: np.ndarray
-    c: np.ndarray  # carried cell states (B, T, H)
-    h: np.ndarray  # carried hidden states (B, T, H)
+    """One direction's scan, time-major, in the order the scan ran."""
+
+    gates: np.ndarray  # activated gates [i f g o] (T, B, 4H)
+    c: np.ndarray  # carried cell states (T, B, H)
+    h: np.ndarray  # carried hidden states (T, B, H)
+    tanh_c: np.ndarray  # tanh of each step's fresh cell state (T, B, H)
 
 
 @dataclass
@@ -155,12 +195,13 @@ class ForwardTape:
     x: np.ndarray
     mask: np.ndarray
     lengths: np.ndarray
-    layer_inputs: list[np.ndarray]
+    layer_inputs: list[np.ndarray]  # time-major (T, B, D) per layer
     caches: list[list[_DirectionCache]]  # [layer][direction]
-    dropout_masks: list[np.ndarray | None]  # per layer boundary
+    dropout_masks: list[np.ndarray | None]  # per layer boundary, time-major
     rep_mask: np.ndarray | None
     rep: np.ndarray
     logits: np.ndarray
+    reversal: np.ndarray | None  # _time_major_reversal of lengths when bidirectional
     consumed: bool = False
 
 
@@ -229,41 +270,34 @@ class BiLstmModel:
     # -- forward ------------------------------------------------------------
 
     def _run_direction(
-        self, z: np.ndarray, mask: np.ndarray, cell: LstmCellParams
+        self, z: np.ndarray, pad: np.ndarray, cell: LstmCellParams
     ) -> _DirectionCache:
-        b_sz, t_len, _ = z.shape
+        """Scan one cell over time-major inputs z (T, B, D); pad (T, B, 1)
+        marks padded steps, which carry the previous state."""
+        t_len, b_sz, d = z.shape
         h = cell.hidden
-        a_x = z @ cell.w_x.T + cell.b  # (B, T, 4H)
-        shape = (b_sz, t_len, h)
+        scale, shift = _gate_constants(h)
+        gates = (z.reshape(-1, d) @ cell.w_x.T).reshape(t_len, b_sz, 4 * h)
+        gates += cell.b
+        shape = (t_len, b_sz, h)
         cache = _DirectionCache(
-            z=z,
-            i=np.empty(shape), f=np.empty(shape), g=np.empty(shape),
-            o=np.empty(shape), c_new=np.empty(shape), tanh_c=np.empty(shape),
-            c=np.empty(shape), h=np.empty(shape),
+            gates=gates, c=np.empty(shape), h=np.empty(shape), tanh_c=np.empty(shape)
         )
-        h_prev = np.zeros((b_sz, h))
-        c_prev = np.zeros((b_sz, h))
+        w_h_t = cell.w_h.T
         for t in range(t_len):
-            a = a_x[:, t] + h_prev @ cell.w_h.T
-            i = _sigmoid(a[:, 0 * h : 1 * h])
-            f = _sigmoid(a[:, 1 * h : 2 * h])
-            g = np.tanh(a[:, 2 * h : 3 * h])
-            o = _sigmoid(a[:, 3 * h : 4 * h])
-            c_new = f * c_prev + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            m = mask[:, t : t + 1]
-            h_t = m * h_new + (1.0 - m) * h_prev
-            c_t = m * c_new + (1.0 - m) * c_prev
-            cache.i[:, t] = i
-            cache.f[:, t] = f
-            cache.g[:, t] = g
-            cache.o[:, t] = o
-            cache.c_new[:, t] = c_new
-            cache.tanh_c[:, t] = tanh_c
-            cache.c[:, t] = c_t
-            cache.h[:, t] = h_t
-            h_prev, c_prev = h_t, c_t
+            a = gates[t]
+            if t:  # the state before step 0 is zero
+                a += cache.h[t - 1] @ w_h_t
+            _activate_gates(a, scale, shift)
+            c_t, h_t = cache.c[t], cache.h[t]
+            np.multiply(a[:, :h], a[:, 2 * h : 3 * h], out=c_t)
+            if t:
+                c_t += a[:, h : 2 * h] * cache.c[t - 1]
+            np.tanh(c_t, out=cache.tanh_c[t])
+            np.multiply(a[:, 3 * h :], cache.tanh_c[t], out=h_t)
+            if t:  # step 0 is real in every sample
+                np.copyto(c_t, cache.c[t - 1], where=pad[t])
+                np.copyto(h_t, cache.h[t - 1], where=pad[t])
         return cache
 
     def forward(
@@ -291,26 +325,32 @@ class BiLstmModel:
         drop_rng = np.random.default_rng(dropout_seed) if use_dropout else None
         keep = 1.0 - dropout
 
+        b_sz, t_len = mask.shape
+        pad = (mask.T == 0.0)[:, :, None]
+        reversal = _time_major_reversal(lengths, t_len) if cfg.bidirectional else None
         layer_inputs: list[np.ndarray] = []
         caches: list[list[_DirectionCache]] = []
         dropout_masks: list[np.ndarray | None] = []
-        cur = x
+        cur = np.ascontiguousarray(x.transpose(1, 0, 2))
         for li, cells in enumerate(self.layers):
             layer_inputs.append(cur)
-            layer_caches = [self._run_direction(cur, mask, cells[0])]
-            if cfg.bidirectional:
-                z_rev = reverse_padded(cur, lengths)
-                layer_caches.append(self._run_direction(z_rev, mask, cells[1]))
-            caches.append(layer_caches)
-            if cfg.bidirectional:
-                h_bwd_in_order = reverse_padded(layer_caches[1].h, lengths)
-                out = np.concatenate([layer_caches[0].h, h_bwd_in_order], axis=2)
+            layer_caches = [self._run_direction(cur, pad, cells[0])]
+            if reversal is not None:
+                layer_caches.append(
+                    self._run_direction(_gather_rows(cur, reversal), pad, cells[1])
+                )
+                out = np.concatenate(
+                    [layer_caches[0].h, _gather_rows(layer_caches[1].h, reversal)], axis=2
+                )
             else:
                 out = layer_caches[0].h
+            caches.append(layer_caches)
             if li < len(self.layers) - 1:
                 if use_dropout:
                     assert drop_rng is not None
-                    dmask = (drop_rng.random(out.shape) >= dropout) / keep
+                    # drawn in batch-major order, as (B, T, features)
+                    draw = drop_rng.random((b_sz, t_len, out.shape[2]))
+                    dmask = np.ascontiguousarray(((draw >= dropout) / keep).transpose(1, 0, 2))
                     dropout_masks.append(dmask)
                     cur = out * dmask
                 else:
@@ -321,11 +361,11 @@ class BiLstmModel:
 
         if cfg.readout == READOUT_FINAL:
             rep = np.concatenate(
-                [c.h[:, -1] for c in caches[-1]], axis=1
+                [c.h[-1] for c in caches[-1]], axis=1
             )  # carried final state = last real step
         else:
             counts = lengths.astype(np.float64)[:, None]
-            rep = (last_out * mask[:, :, None]).sum(axis=1) / counts
+            rep = np.where(pad, 0.0, last_out).sum(axis=0) / counts
 
         rep_mask: np.ndarray | None = None
         if use_dropout:
@@ -337,7 +377,7 @@ class BiLstmModel:
         tape = ForwardTape(
             x=x, mask=mask, lengths=lengths, layer_inputs=layer_inputs,
             caches=caches, dropout_masks=dropout_masks, rep_mask=rep_mask,
-            rep=rep, logits=logits,
+            rep=rep, logits=logits, reversal=reversal,
         )
         return logits, tape
 
@@ -346,51 +386,66 @@ class BiLstmModel:
     def _direction_backward(
         self,
         cache: _DirectionCache,
-        mask: np.ndarray,
+        z: np.ndarray,
         cell: LstmCellParams,
-        d_h_steps: np.ndarray,
-        d_h_final: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dz, dw_x, dw_h, db) for one direction scan."""
-        b_sz, t_len, h = cache.h.shape
-        d_a = np.empty((b_sz, t_len, 4 * h))
-        dh_carry = np.zeros((b_sz, h)) if d_h_final is None else d_h_final.copy()
-        dc_carry = np.zeros((b_sz, h))
-        for t in range(t_len - 1, -1, -1):
-            m = mask[:, t : t + 1]
-            dh_t = d_h_steps[:, t] + dh_carry
-            dc_t = dc_carry
-            h_prev = cache.h[:, t - 1] if t > 0 else np.zeros((b_sz, h))
-            c_prev = cache.c[:, t - 1] if t > 0 else np.zeros((b_sz, h))
-            # h_t = m*h_new + (1-m)*h_prev ; c_t = m*c_new + (1-m)*c_prev
-            dh_new = m * dh_t
-            dc_new = m * dc_t
-            dh_skip = (1.0 - m) * dh_t
-            dc_skip = (1.0 - m) * dc_t
-            i, f, g, o = cache.i[:, t], cache.f[:, t], cache.g[:, t], cache.o[:, t]
-            tanh_c = cache.tanh_c[:, t]
-            d_o = dh_new * tanh_c
-            dc_new = dc_new + dh_new * o * (1.0 - tanh_c * tanh_c)
-            d_f = dc_new * c_prev
-            d_i = dc_new * cache.g[:, t]
-            d_g = dc_new * i
-            dc_prev = dc_new * f
-            da_t = d_a[:, t]
-            da_t[:, 0 * h : 1 * h] = d_i * i * (1.0 - i)
-            da_t[:, 1 * h : 2 * h] = d_f * f * (1.0 - f)
-            da_t[:, 2 * h : 3 * h] = d_g * (1.0 - g * g)
-            da_t[:, 3 * h : 4 * h] = d_o * o * (1.0 - o)
-            dh_carry = dh_skip + da_t @ cell.w_h
-            dc_carry = dc_skip + dc_prev
-        flat_a = d_a.reshape(-1, 4 * h)
-        dz = (flat_a @ cell.w_x).reshape(cache.z.shape)
-        dw_x = flat_a.T @ cache.z.reshape(-1, cache.z.shape[2])
-        h_prev_all = np.zeros_like(cache.h)
-        h_prev_all[:, 1:] = cache.h[:, :-1]
-        dw_h = flat_a.T @ h_prev_all.reshape(-1, h)
-        db = flat_a.sum(axis=0)
-        return dz, dw_x, dw_h, db
+        d_h: np.ndarray,
+        rows: np.ndarray | None,
+        need_dz: bool,
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+        """Returns (dz, dw_x, dw_h, db) for one direction scan.
 
+        d_h is the upstream gradient of each step's h, time-major in scan
+        order. It is zero on padded steps: a padded step only copies the
+        state, so with nothing arriving from above or from later steps it
+        passes nothing back, and the scan needs no mask. z is the layer input
+        in input step order; rows, when given, is the reversal between the
+        two orders. dz (input order) is None unless need_dz.
+        """
+        gates, c, tanh_c = cache.gates, cache.c, cache.tanh_c
+        t_len, b_sz, h4 = gates.shape
+        h = h4 // 4
+        # partner: gradient of each gate's pre-activation per unit of the
+        # step's dc (i, f, g columns) or dh (o columns):
+        # g * i', c_prev * f', i * g', tanh_c * o'
+        g = gates[..., 2 * h : 3 * h]
+        partner = np.empty_like(gates)
+        partner[..., :h] = g
+        partner[0, :, h : 2 * h] = 0.0
+        partner[1:, :, h : 2 * h] = c[:-1]
+        partner[..., 2 * h : 3 * h] = gates[..., :h]
+        partner[..., 3 * h :] = tanh_c
+        d_act = gates * (1.0 - gates)  # sigmoid' on i, f, o
+        d_act[..., 2 * h : 3 * h] = 1.0 - g * g  # tanh' on g
+        partner *= d_act
+        dh_to_dc = gates[..., 3 * h :] * (1.0 - tanh_c * tanh_c)
+        f = gates[..., h : 2 * h]
+
+        d_a = np.empty_like(gates)
+        scale = np.empty((b_sz, 4, h))  # [dc, dc, dc, dh] of one step
+        dh_carry = np.zeros((b_sz, h))
+        dc_carry = np.zeros((b_sz, h))
+        w_h = cell.w_h
+        for t in range(t_len - 1, -1, -1):
+            dh = d_h[t] + dh_carry
+            dc = dc_carry + dh * dh_to_dc[t]
+            scale[:, :3] = dc[:, None, :]
+            scale[:, 3] = dh
+            np.multiply(partner[t], scale.reshape(b_sz, h4), out=d_a[t])
+            if t:
+                dh_carry = d_a[t] @ w_h
+                dc_carry = dc * f[t]
+
+        flat_a = d_a.reshape(-1, h4)
+        z_scan = z if rows is None else _gather_rows(z, rows)
+        dw_x = flat_a.T @ z_scan.reshape(-1, z.shape[2])
+        dw_h = d_a[1:].reshape(-1, h4).T @ cache.h[:-1].reshape(-1, h)
+        db = flat_a.sum(axis=0)
+        dz = None
+        if need_dz:
+            dz = (flat_a @ cell.w_x).reshape(z.shape)
+            if rows is not None:
+                dz = _gather_rows(dz, rows)  # back to input step order
+        return dz, dw_x, dw_h, db
 
     def backward(self, tape: ForwardTape, labels: np.ndarray) -> np.ndarray:
         """Gradient of mean cross-entropy over the batch, flattened."""
@@ -421,39 +476,32 @@ class BiLstmModel:
         ]
 
         # Per-step upstream gradient for the top layer's concatenated output.
-        top_out_dim = cfg.rep_dim
-        d_out = np.zeros((b_sz, t_len, top_out_dim))
-        d_final: list[np.ndarray | None] = [None] * cfg.directions
         if cfg.readout == READOUT_FINAL:
-            for di in range(cfg.directions):
-                d_final[di] = d_rep[:, di * h : (di + 1) * h]
+            # The carried final state is h at each sample's last real step:
+            # input step lengths - 1 forward, input step 0 backward.
+            d_out = np.zeros((t_len, b_sz, cfg.rep_dim))
+            d_out[tape.lengths - 1, np.arange(b_sz), :h] = d_rep[:, :h]
+            d_out[0, :, h:] = d_rep[:, h:]
         else:
-            weights = tape.mask[:, :, None] / tape.lengths.astype(np.float64)[:, None, None]
-            d_out += d_rep[:, None, :] * weights
+            weights = np.where(tape.mask.T == 0.0, 0.0, 1.0 / tape.lengths)
+            d_out = weights[:, :, None] * d_rep
 
         for li in range(len(self.layers) - 1, -1, -1):
-            cells = self.layers[li]
-            caches = tape.caches[li]
-            d_in = np.zeros_like(tape.layer_inputs[li])
-            # forward direction
-            dz, dw_x, dw_h, db = self._direction_backward(
-                caches[0], tape.mask, cells[0], d_out[..., :h],
-                d_final[0] if li == len(self.layers) - 1 else None,
-            )
-            d_in += dz
-            grads_per_layer[li].append((dw_x, dw_h, db))
-            if cfg.bidirectional:
-                d_steps_rev = reverse_padded(d_out[..., h:], tape.lengths)
-                dz_rev, dw_x2, dw_h2, db2 = self._direction_backward(
-                    caches[1], tape.mask, cells[1], d_steps_rev,
-                    d_final[1] if li == len(self.layers) - 1 else None,
+            d_in: np.ndarray | None = None
+            for di, (cell, cache) in enumerate(zip(self.layers[li], tape.caches[li])):
+                rows = tape.reversal if di else None
+                d_h = d_out[..., di * h : (di + 1) * h]
+                dz, dw_x, dw_h, db = self._direction_backward(
+                    cache, tape.layer_inputs[li], cell,
+                    d_h if rows is None else _gather_rows(d_h, rows), rows,
+                    need_dz=li > 0,
                 )
-                d_in += reverse_padded(dz_rev, tape.lengths)
-                grads_per_layer[li].append((dw_x2, dw_h2, db2))
+                grads_per_layer[li].append((dw_x, dw_h, db))
+                if dz is not None:
+                    d_in = dz if d_in is None else d_in + dz
             if li > 0:
                 dmask = tape.dropout_masks[li - 1]
                 d_out = d_in if dmask is None else d_in * dmask
-                d_final = [None] * cfg.directions
 
         flat_parts: list[np.ndarray] = []
         for layer_grads in grads_per_layer:

@@ -77,7 +77,7 @@ _SLOTS = {
     ADAGRAD: ("a",),
     ADADELTA: ("eg", "ed"),
     RMSPROP: ("eg",),
-    ADAM: ("m", "v"),
+    ADAM: ("m", "v", "update"),  # update: the last step taken, reused as scratch
     FTRL: ("z", "n"),
     PROXIMAL_GD: (),
     PROXIMAL_ADAGRAD: ("a",),
@@ -148,11 +148,22 @@ def optimizer_step(
         return theta - lr * g / np.sqrt(s["eg"] + config.eps)
 
     if config.kind == ADAM:
-        s["m"][:] = config.beta1 * s["m"] + (1.0 - config.beta1) * g
-        s["v"][:] = config.beta2 * s["v"] + (1.0 - config.beta2) * g * g
-        m_hat = s["m"] / (1.0 - config.beta1 ** state.t)
-        v_hat = s["v"] / (1.0 - config.beta2 ** state.t)
-        return theta - lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        # lr * m_hat / (sqrt(v_hat) + eps), rewritten with the bias corrections
+        # folded into two scalars and built in place in s["update"]
+        m, v, update = s["m"], s["v"], s["update"]
+        root_c2 = np.sqrt(1.0 - config.beta2 ** state.t)
+        m *= config.beta1
+        np.multiply(g, 1.0 - config.beta1, out=update)
+        m += update
+        v *= config.beta2
+        np.multiply(g, g, out=update)
+        update *= 1.0 - config.beta2
+        v += update
+        np.sqrt(v, out=update)
+        update += config.eps * root_c2
+        np.divide(m, update, out=update)
+        update *= lr * root_c2 / (1.0 - config.beta1 ** state.t)
+        return theta - update
 
     if config.kind == FTRL:
         n_old = s["n"]

@@ -155,8 +155,11 @@ def group_flows(records: list[PacketRecord]) -> list[FlowTrace]:
 
     Later fragments carry no ports, so they join the flow claimed by the
     offset-zero fragment with the same (src, dst, IP id); that first
-    fragment still has the TCP ports at the start of its payload. Trailing
-    fragments whose first piece never appeared are dropped.
+    fragment still has the TCP ports at the start of its payload. An
+    offset-zero fragment whose (src, dst, IP id) is already claimed
+    overlaps the first one (its leading bytes may be junk), so it joins
+    that flow too. Trailing fragments whose first piece never appeared are
+    dropped.
     """
     flows: dict[FlowKey, list[PacketRecord]] = {}
     order: list[FlowKey] = []
@@ -165,15 +168,14 @@ def group_flows(records: list[PacketRecord]) -> list[FlowTrace]:
         key: FlowKey | None = None
         if pkt.tcp is not None:
             key = flow_key_of(pkt)
-        elif pkt.ip.frag_offset == 0 and len(pkt.payload) >= 4:
-            # first fragment: TCP source/destination ports lead the payload
-            sport, dport = struct.unpack("!HH", pkt.payload[:4])
-            key = (pkt.ip.src_addr, sport, pkt.ip.dst_addr, dport)
-            frag_owner[(pkt.ip.src_addr, pkt.ip.dst_addr, pkt.ip.identification)] = key
         else:
-            key = frag_owner.get(
-                (pkt.ip.src_addr, pkt.ip.dst_addr, pkt.ip.identification)
-            )
+            frag = (pkt.ip.src_addr, pkt.ip.dst_addr, pkt.ip.identification)
+            key = frag_owner.get(frag)
+            if key is None and pkt.ip.frag_offset == 0 and len(pkt.payload) >= 4:
+                # first fragment: TCP source/destination ports lead the payload
+                sport, dport = struct.unpack("!HH", pkt.payload[:4])
+                key = (pkt.ip.src_addr, sport, pkt.ip.dst_addr, dport)
+                frag_owner[frag] = key
         if key is None:
             continue
         if key not in flows:

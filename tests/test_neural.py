@@ -5,6 +5,7 @@ drives which gate. Biases saturate three gates and set the fourth to a
 known value, so a permuted implementation produces different numbers.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -126,6 +127,24 @@ def test_reverse_padded_is_involution():
     assert np.array_equal(reverse_padded(reverse_padded(arr, lengths), lengths), arr)
 
 
+def reverse_padded_loop(arr, lengths):
+    out = arr.copy()
+    for b, n in enumerate(lengths):
+        out[b, :n] = arr[b, :n][::-1]
+    return out
+
+
+def test_reverse_padded_matches_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        b_sz, t_len = (int(v) for v in rng.integers(1, 9, size=2))
+        arr = rng.normal(size=(b_sz, t_len, 3))
+        lengths = rng.integers(1, t_len + 1, size=b_sz)
+        assert np.array_equal(
+            reverse_padded(arr, lengths), reverse_padded_loop(arr, lengths)
+        )
+
+
 # -- forward pass -----------------------------------------------------------
 
 
@@ -135,6 +154,114 @@ CONFIGS = [
     ModelConfig(hidden=5, input_dim=4, classes=3, frame=4, layers=2, readout="mean"),
     ModelConfig(hidden=5, input_dim=4, classes=3, frame=4, layers=2, bidirectional=False),
 ]
+
+
+def ragged_batch(config, seed):
+    """One sample of each length 1..T, junk in the padding."""
+    rng = np.random.default_rng(seed)
+    t_len = config.frame + 2
+    x = rng.normal(size=(t_len, t_len, config.input_dim)) * 2.0
+    mask = (np.arange(t_len)[None, :] < np.arange(1, t_len + 1)[:, None]).astype(float)
+    labels = rng.integers(0, config.classes, size=t_len)
+    return x, mask, labels
+
+
+def reference_logits(model, x, mask):
+    """Plain per-sample scan of lstm_cell_forward.
+
+    Padded steps carry the state (documented carry rule); the backward
+    direction reads each sample's valid prefix reversed and leaves the
+    padded tail in place (documented reversal rule).
+    """
+    cfg = model.config
+    logits = []
+    for b in range(x.shape[0]):
+        n = int(mask[b].sum())
+        seq = x[b]
+        t_len = seq.shape[0]
+        for cells in model.layers:
+            outputs, finals = [], []
+            for di, cell in enumerate(cells):
+                order = list(range(t_len)) if di == 0 else (
+                    list(range(n - 1, -1, -1)) + list(range(n, t_len))
+                )
+                h = np.zeros(cfg.hidden)
+                c = np.zeros(cfg.hidden)
+                hs = np.empty((t_len, cfg.hidden))
+                for k, t in enumerate(order):
+                    h_new, c_new, _ = lstm_cell_forward(seq[t], h, c, cell)
+                    if k < n:
+                        h, c = h_new, c_new
+                    hs[t] = h
+                outputs.append(hs)
+                finals.append(h)
+            seq = np.concatenate(outputs, axis=1)
+        rep = np.concatenate(finals) if cfg.readout == "final" else seq[:n].mean(axis=0)
+        logits.append(rep @ model.head_w.T + model.head_b)
+    return np.array(logits)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_forward_matches_reference_scan(config):
+    model = BiLstmModel.initialize(config, seed=21)
+    x, mask, _ = ragged_batch(config, seed=22)
+    logits, _ = model.forward(x, mask)
+    assert np.max(np.abs(logits - reference_logits(model, x, mask))) < 1e-12
+
+
+def central_differences(model, x, mask, labels, eps=1e-5):
+    theta = model.flatten()
+    numeric = np.empty_like(theta)
+    for idx in range(theta.size):
+        losses = []
+        for step in (eps, -eps):
+            bumped = theta.copy()
+            bumped[idx] += step
+            model.load_flat(bumped)
+            losses.append(softmax_xent(model.forward(x, mask)[0], labels)[0])
+        numeric[idx] = (losses[0] - losses[1]) / (2.0 * eps)
+    model.load_flat(theta)
+    return numeric
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("config", CONFIGS)
+def test_gradients_on_ragged_batch(config, dropout):
+    model = BiLstmModel.initialize(config, seed=23)
+    x, mask, labels = ragged_batch(config, seed=24)
+    if dropout:
+        # every forward of the check draws the same dropout masks
+        model.forward = functools.partial(
+            BiLstmModel.forward, model, train=True, dropout=dropout, dropout_seed=25
+        )
+    analytic = model.backward(model.forward(x, mask)[1], labels)
+    numeric = central_differences(model, x, mask, labels)
+    # Central-difference round-off here is about 1e-10. grad_check divides
+    # by max(|entry|, 1e-8), so on entries of 1e-8 to 1e-6 that round-off
+    # alone reads up to 1e-3; bound every entry by the largest one instead.
+    assert np.max(np.abs(analytic - numeric)) < 1e-6 * np.max(np.abs(numeric))
+
+
+@pytest.mark.filterwarnings("error")
+def test_saturated_gates_stay_finite():
+    config = ModelConfig(hidden=3, input_dim=2, classes=2, frame=4, layers=2)
+    model = BiLstmModel.initialize(config, seed=26)
+    for layer in model.layers:
+        for cell in layer:
+            cell.w_x[:] = 0.0
+            cell.w_h[:] = 0.0
+            cell.b[:] = np.tile([1000.0, -1000.0], 6)  # pre-activations exactly +-1000
+    x = np.ones((2, 4, 2))
+    mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    logits, tape = model.forward(x, mask)
+    for cache in (cache for layer in tape.caches for cache in layer):
+        assert np.all(np.isfinite(cache.h)) and np.all(np.isfinite(cache.c))
+        assert set(np.unique(cache.gates)) <= {0.0, 1.0, -1.0}
+    assert np.all(np.isfinite(logits))
+    assert np.all(np.isfinite(model.backward(tape, np.array([0, 1]))))
+    p = LstmCellParams(w_x=np.zeros((8, 1)), w_h=np.zeros((8, 2)), b=np.tile([-1000.0, 1000.0], 4))
+    h, c, _ = lstm_cell_forward(np.ones(1), np.ones(2), np.ones(2), p)
+    assert np.all(np.isfinite(h)) and np.all(np.isfinite(c))
 
 
 @pytest.mark.parametrize("config", CONFIGS)

@@ -11,6 +11,7 @@ from evasionlab.pcapio import (
     read_pcap,
     write_pcap,
 )
+from evasionlab.synth import EvasionLabel, SynthParams, apply_evasion, generate_clean_flow
 from helpers import DPORT, DST, SPORT, SRC, make_fragment, make_packet
 
 
@@ -125,6 +126,18 @@ def test_group_flows_attaches_fragments():
     assert len(flows) == 1
     assert len(flows[0].packets) == 3
     assert flows[0].key == (SRC, SPORT, DST, DPORT)
+
+
+def test_overlapping_first_fragment_keeps_its_flow():
+    # with overlap on and 8-byte fragments, the second fragment of every
+    # data packet also sits at offset 0, led by 8 junk bytes
+    trace = apply_evasion(
+        generate_clean_flow(1, 6), EvasionLabel.IP_FRAG, SynthParams(overlap=True, seed=3)
+    )
+    cap = roundtrip(trace.packets)
+    flows = group_flows(cap.records)
+    assert len(flows) == 1
+    assert [p.encode() for p in flows[0].packets] == [p.encode() for p in trace.packets]
 
 
 def test_orphan_fragment_dropped():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evasionlab.dataset import split
+from evasionlab.dataset import batches, split
 from evasionlab.errors import (
     DimMismatchError,
     DivergenceError,
@@ -11,10 +11,12 @@ from evasionlab.errors import (
     EmptyTestSetError,
 )
 from evasionlab.features import FeatureScaler, FeatureSequence
-from evasionlab.neural import ModelConfig, load_model
-from evasionlab.optim import OptimizerConfig
+from evasionlab.neural import BiLstmModel, ModelConfig, load_model, softmax_xent
+from evasionlab.optim import Optimizer, OptimizerConfig
 from evasionlab.synth import SynthParams, build_labeled_corpus
 from evasionlab.training import (
+    _DROPOUT_SEED_STRIDE,
+    _EPOCH_SEED_STRIDE,
     EvalReport,
     TrainConfig,
     evaluate,
@@ -100,6 +102,30 @@ def test_training_is_deterministic():
     model_b, hist_b = train(samples, cfg)
     assert hist_a == hist_b
     assert np.array_equal(model_a.flatten(), model_b.flatten())
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_train_matches_hand_loop(dropout):
+    # train() is exactly this public call sequence, bit for bit
+    samples = toy_samples()
+    cfg = toy_config(epochs=2, dropout=dropout)
+    model = BiLstmModel.initialize(cfg.model, cfg.seed)
+    opt = Optimizer(cfg.optimizer, model.n_params)
+    step = 0
+    for epoch in range(cfg.epochs):
+        for batch in batches(samples, cfg.batch_size, cfg.seed + _EPOCH_SEED_STRIDE * (epoch + 1)):
+            x, mask, labels = prepare_batch(batch, cfg.model.frame, None)
+            logits, tape = model.forward(
+                x, mask, train=True, dropout=cfg.dropout,
+                dropout_seed=cfg.seed + _DROPOUT_SEED_STRIDE * (step + 1),
+            )
+            softmax_xent(logits, labels)
+            grads = model.backward(tape, labels)
+            model.load_flat(opt.step(model.flatten(), grads))
+            step += 1
+    trained, history = train(samples, cfg)
+    assert len(history) == step
+    assert np.array_equal(trained.flatten(), model.flatten())
 
 
 def test_training_seed_changes_outcome():
