@@ -9,7 +9,8 @@ Dimension layout (canonical order used everywhere, including on disk):
   1   ipoffsetoverlap     cur.frag_offset - prev.frag_offset (8-byte units)
   2   ipflag              mf + 2*df
   3   ipttldiff           cur.ttl - prev.ttl
-  4   tcpchecksum_valid   1 valid / 0 invalid
+  4   tcpchecksum_valid   1 if the stored TCP checksum equals the one computed
+                          with the field zeroed, else 0 (0xFFFF is never valid)
   5   tcplen              TCP payload bytes
   6   tcpflag             fin=1 syn=2 rst=4 psh=8 ack=16 urg=32 bitmask
   7   tcpsyn              0/1

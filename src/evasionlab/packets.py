@@ -38,17 +38,44 @@ def ipv4_checksum(data: bytes) -> int:
     """RFC 1071 internet checksum over an even-length byte string.
 
     The 16-bit one's-complement of the one's-complement sum of all
-    big-endian 16-bit words. The checksum field inside ``data`` must
+    big-endian 16-bit words. RFC 1071 section 2 lets the sum run on
+    words of any width in any order, as long as the carries are folded
+    back in: here the whole input is one integer ``n``. As 2**16 = 1
+    (mod 0xFFFF), the end-around-carry fold of ``n`` is ``n % 0xFFFF``,
+    except that the fold of a nonzero sum is never 0: a nonzero multiple
+    of 0xFFFF folds to 0xFFFF. The checksum field inside ``data`` must
     already be zeroed by the caller.
     """
     if len(data) % 2:
         raise OddLengthError(f"checksum input has odd length {len(data)}")
-    total = 0
-    for (word,) in struct.iter_unpack("!H", data):
-        total += word
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    n = int.from_bytes(data, "big")
+    return 0xFFFF - (n % 0xFFFF or (0xFFFF if n else 0))
+
+
+def _tcp_sum(src_addr: int, dst_addr: int, segment: bytes) -> int:
+    """Unfolded sum of the IPv4 pseudo-header and a TCP segment.
+
+    An odd-length segment is zero-padded for summation only. The pseudo-
+    header's words are added as integers: a 32-bit address counts as its
+    two 16-bit words, because 2**16 = 1 (mod 0xFFFF).
+    """
+    if len(segment) > 0xFFFF:
+        raise ValueError(f"TCP segment length {len(segment)} exceeds 65535")
+    n = int.from_bytes(segment, "big")
+    if len(segment) % 2:
+        n <<= 8
+    return n + src_addr + dst_addr + IPPROTO_TCP + len(segment)
+
+
+def _checksum_if_zeroed(n: int, stored: int) -> int:
+    """Checksum of the bytes summed in ``n`` with their field ``stored`` zeroed.
+
+    Zeroing the field takes ``stored`` off the sum modulo 0xFFFF, so no
+    zeroed copy is needed. The zeroed bytes are never all zero (an IPv4
+    header's version nibble is 4, the TCP pseudo-header carries protocol
+    6), so their fold is never 0 and a residue of 0 stands for 0xFFFF.
+    """
+    return 0xFFFF - ((n - stored) % 0xFFFF or 0xFFFF)
 
 
 def tcp_checksum(src_addr: int, dst_addr: int, tcp_bytes: bytes, payload: bytes) -> int:
@@ -57,14 +84,7 @@ def tcp_checksum(src_addr: int, dst_addr: int, tcp_bytes: bytes, payload: bytes)
     ``tcp_bytes`` is the serialized TCP header with its checksum field
     zeroed. Odd-length payloads are zero-padded for summation only.
     """
-    seg_len = len(tcp_bytes) + len(payload)
-    if seg_len > 0xFFFF:
-        raise ValueError(f"TCP segment length {seg_len} exceeds 65535")
-    pseudo = struct.pack("!IIBBH", src_addr, dst_addr, 0, IPPROTO_TCP, seg_len)
-    data = pseudo + tcp_bytes + payload
-    if len(data) % 2:
-        data += b"\x00"
-    return ipv4_checksum(data)
+    return _checksum_if_zeroed(_tcp_sum(src_addr, dst_addr, tcp_bytes + payload), 0)
 
 
 def addr_to_str(addr: int) -> str:
@@ -160,14 +180,22 @@ class Ipv4Header:
             options=bytes(data[20 : ihl * 4]),
         )
 
+    def _zeroed_checksum(self) -> int:
+        return _checksum_if_zeroed(int.from_bytes(self.encode(), "big"), self.checksum)
+
     def with_checksum(self) -> "Ipv4Header":
         """Copy with the checksum recomputed over the zero-checksum encoding."""
-        zeroed = replace(self, checksum=0)
-        return replace(self, checksum=ipv4_checksum(zeroed.encode()))
+        return replace(self, checksum=self._zeroed_checksum())
 
     def checksum_valid(self) -> bool:
-        zeroed = replace(self, checksum=0)
-        return ipv4_checksum(zeroed.encode()) == self.checksum
+        """Whether the stored checksum equals the one computed over the
+        encoding with the checksum field zeroed.
+
+        The comparison is exact, so a stored 0xFFFF is never valid, even
+        though an RFC 1071 verifier summing the header in place accepts it
+        where the computed checksum is 0x0000.
+        """
+        return self._zeroed_checksum() == self.checksum
 
 
 @dataclass(frozen=True)
@@ -357,27 +385,28 @@ class PacketRecord:
             return cls(ts=ts, ip=ip, tcp=tcp, payload=bytes(body[tcp.header_length :]))
         return cls(ts=ts, ip=ip, tcp=None, payload=bytes(body))
 
+    def _zeroed_tcp_checksum(self, tcp: TcpHeader) -> int:
+        n = _tcp_sum(self.ip.src_addr, self.ip.dst_addr, tcp.encode() + self.payload)
+        return _checksum_if_zeroed(n, tcp.checksum)
+
     def with_checksums(self) -> "PacketRecord":
         """Copy with valid IP (and, when present, TCP) checksums."""
         tcp = self.tcp
         if tcp is not None:
-            zeroed = replace(tcp, checksum=0)
-            tcp = replace(
-                tcp,
-                checksum=tcp_checksum(
-                    self.ip.src_addr, self.ip.dst_addr, zeroed.encode(), self.payload
-                ),
-            )
+            tcp = replace(tcp, checksum=self._zeroed_tcp_checksum(tcp))
         return replace(self, ip=self.ip.with_checksum(), tcp=tcp)
 
     def tcp_checksum_valid(self) -> bool:
+        """Whether a TCP header is present and its stored checksum equals
+        the one computed (pseudo-header included) with the field zeroed.
+
+        The comparison is exact, so a stored 0xFFFF is never valid, even
+        though an RFC 1071 verifier summing the segment in place accepts it
+        where the computed checksum is 0x0000.
+        """
         if self.tcp is None:
             return False
-        zeroed = replace(self.tcp, checksum=0)
-        computed = tcp_checksum(
-            self.ip.src_addr, self.ip.dst_addr, zeroed.encode(), self.payload
-        )
-        return computed == self.tcp.checksum
+        return self._zeroed_tcp_checksum(self.tcp) == self.tcp.checksum
 
 
 FlowKey = tuple[int, int, int, int]  # (src_addr, src_port, dst_addr, dst_port)

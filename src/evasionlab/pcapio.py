@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 from .errors import BadMagicError, TruncatedFileError
 from .packets import (
     IPPROTO_TCP,
     FlowKey,
     FlowTrace,
-    Ipv4Header,
     PacketRecord,
-    TcpHeader,
     flow_key_of,
 )
 
@@ -112,20 +110,11 @@ def _decode_frame(frame: bytes, ts: float, stats: CaptureStats) -> PacketRecord 
         stats.packets_skipped += 1
         stats.skipped_link += 1
         return None
-    body = frame[ETH_HEADER_LEN:]
     try:
-        ip = Ipv4Header.decode(body)
+        pkt = PacketRecord.decode(frame[ETH_HEADER_LEN:], ts=ts)
     except ValueError:
-        stats.packets_skipped += 1
-        stats.skipped_protocol += 1
-        return None
-    if ip.protocol != IPPROTO_TCP:
-        stats.packets_skipped += 1
-        stats.skipped_protocol += 1
-        return None
-    try:
-        pkt = PacketRecord.decode(body[: ip.total_length], ts=ts)
-    except ValueError:
+        pkt = None
+    if pkt is None or pkt.ip.protocol != IPPROTO_TCP:
         stats.packets_skipped += 1
         stats.skipped_protocol += 1
         return None
@@ -185,15 +174,6 @@ def group_flows(records: list[PacketRecord]) -> list[FlowTrace]:
     return [FlowTrace(key=key, packets=flows[key]) for key in order]
 
 
-def iter_flows_from_file(path: str) -> Iterator[FlowTrace]:
-    with open(path, "rb") as fh:
-        capture = read_pcap(fh)
-    capture.stats.flows = 0
-    for flow in group_flows(capture.records):
-        capture.stats.flows += 1
-        yield flow
-
-
 def read_flows(path: str) -> tuple[list[FlowTrace], CaptureStats]:
     with open(path, "rb") as fh:
         capture = read_pcap(fh)
@@ -209,7 +189,6 @@ __all__ = [
     "write_pcap",
     "group_flows",
     "read_flows",
-    "iter_flows_from_file",
     "PCAP_MAGIC_LE",
     "LINKTYPE_ETHERNET",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import IncompleteStreamError
-from .packets import FlowTrace, PacketRecord, TcpHeader, tcp_checksum
+from .packets import FlowTrace, PacketRecord, TcpHeader
 
 
 @dataclass

@@ -2,17 +2,31 @@
 
 The fixed expected values below were derived by hand with one's-complement
 arithmetic; the hypothesis properties check algebraic facts that hold for
-any implementation of RFC 1071.
+any implementation of RFC 1071, and compare the in-place validity checks
+and ``with_checksums`` with the zeroed-copy formulas written out here.
 """
 
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from evasionlab import synth
 from evasionlab.errors import OddLengthError
-from evasionlab.packets import ipv4_checksum, tcp_checksum
+from evasionlab.packets import (
+    FlowTrace,
+    Ipv4Header,
+    PacketRecord,
+    TcpHeader,
+    TcpOption,
+    ipv4_checksum,
+    pad_tcp_options,
+    tcp_checksum,
+)
+from evasionlab.synth import EvasionLabel, SynthParams, apply_evasion
+from helpers import make_packet
 
 
 def reference_checksum(data: bytes) -> int:
@@ -58,8 +72,16 @@ def test_inserting_checksum_validates():
     assert ipv4_checksum(bytes(header)) == 0
 
 
-@given(st.binary(min_size=0, max_size=120).filter(lambda b: len(b) % 2 == 0))
+@given(st.binary(min_size=0, max_size=1500).filter(lambda b: len(b) % 2 == 0))
 def test_matches_reference(data):
+    assert ipv4_checksum(data) == reference_checksum(data)
+
+
+@pytest.mark.parametrize("fill", [0x00, 0xFF])
+@pytest.mark.parametrize("length", [2, 4, 20, 1500])
+def test_uniform_inputs_match_reference(fill, length):
+    # all-0xFF sums to a multiple of 0xFFFF: negative zero, checksum 0
+    data = bytes([fill]) * length
     assert ipv4_checksum(data) == reference_checksum(data)
 
 
@@ -100,3 +122,154 @@ def test_tcp_segment_too_long_rejected():
 def test_tcp_checksum_in_range(payload):
     c = tcp_checksum(0x0A000001, 0xC0A80009, bytes(20), payload)
     assert 0 <= c <= 0xFFFF
+
+
+# -- in-place validity against the zeroed-field recompute -------------------
+
+
+def zeroed_ip_checksum(ip: Ipv4Header) -> int:
+    return reference_checksum(replace(ip, checksum=0).encode())
+
+
+def tcp_summed_bytes(pkt: PacketRecord, tcp: TcpHeader) -> bytes:
+    """Pseudo-header, TCP header and payload, zero-padded to whole words."""
+    segment = tcp.encode() + pkt.payload
+    pseudo = struct.pack("!IIBBH", pkt.ip.src_addr, pkt.ip.dst_addr, 0, 6, len(segment))
+    return pseudo + segment + b"\x00" * (len(segment) % 2)
+
+
+def zeroed_tcp_checksum(pkt: PacketRecord) -> int:
+    return reference_checksum(tcp_summed_bytes(pkt, replace(pkt.tcp, checksum=0)))
+
+
+STORED = ("zero", "ones", "computed", "computed+1", "computed-1")
+
+
+def stored_value(kind: str, computed: int) -> int:
+    return {
+        "zero": 0x0000,
+        "ones": 0xFFFF,
+        "computed": computed,
+        "computed+1": (computed + 1) & 0xFFFF,
+        "computed-1": (computed - 1) & 0xFFFF,
+    }[kind]
+
+
+TCP_OPTIONS = st.lists(
+    st.one_of(
+        st.just(TcpOption(1)),
+        st.binary(min_size=2, max_size=2).map(lambda b: TcpOption(2, b)),
+        st.binary(min_size=1, max_size=1).map(lambda b: TcpOption(3, b)),
+        st.binary(min_size=8, max_size=8).map(lambda b: TcpOption(8, b)),
+        st.tuples(st.integers(9, 255), st.binary(max_size=6)).map(lambda t: TcpOption(*t)),
+    ),
+    max_size=5,
+).map(pad_tcp_options).filter(lambda opts: sum(len(o.encode()) for o in opts) <= 40)
+
+
+@st.composite
+def packets(draw):
+    """A TCP packet with random header fields, options and payload."""
+    options = draw(TCP_OPTIONS)
+    tcp = TcpHeader(
+        src_port=draw(st.integers(0, 0xFFFF)),
+        dst_port=draw(st.integers(0, 0xFFFF)),
+        seq=draw(st.integers(0, 2**32 - 1)),
+        ack=draw(st.integers(0, 2**32 - 1)),
+        data_offset=5 + sum(len(o.encode()) for o in options) // 4,
+        flag_syn=draw(st.booleans()),
+        flag_ack=draw(st.booleans()),
+        window=draw(st.integers(0, 0xFFFF)),
+        urgent=draw(st.integers(0, 0xFFFF)),
+        options=options,
+    )
+    ihl = draw(st.integers(5, 15))
+    payload = draw(st.binary(max_size=300))
+    ip = Ipv4Header(
+        ihl=ihl,
+        tos=draw(st.integers(0, 255)),
+        total_length=ihl * 4 + tcp.header_length + len(payload),
+        identification=draw(st.integers(0, 0xFFFF)),
+        flag_df=draw(st.booleans()),
+        flag_mf=False,
+        frag_offset=0,
+        ttl=draw(st.integers(0, 255)),
+        protocol=6,
+        checksum=0,
+        src_addr=draw(st.integers(0, 2**32 - 1)),
+        dst_addr=draw(st.integers(0, 2**32 - 1)),
+        options=draw(st.binary(min_size=(ihl - 5) * 4, max_size=(ihl - 5) * 4)),
+    )
+    return PacketRecord(ts=0.0, ip=ip, tcp=tcp, payload=payload)
+
+
+@given(packets(), st.sampled_from(STORED))
+def test_ip_checksum_valid_matches_zeroed_recompute(pkt, kind):
+    computed = zeroed_ip_checksum(pkt.ip)
+    ip = replace(pkt.ip, checksum=stored_value(kind, computed))
+    assert ip.checksum_valid() == (zeroed_ip_checksum(ip) == ip.checksum)
+
+
+@given(packets(), st.sampled_from(STORED))
+def test_tcp_checksum_valid_matches_zeroed_recompute(pkt, kind):
+    computed = zeroed_tcp_checksum(pkt)
+    pkt = replace(pkt, tcp=replace(pkt.tcp, checksum=stored_value(kind, computed)))
+    assert pkt.tcp_checksum_valid() == (zeroed_tcp_checksum(pkt) == pkt.tcp.checksum)
+
+
+@given(packets(), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+def test_with_checksums_matches_zeroed_recompute(pkt, ip_stored, tcp_stored):
+    pkt = replace(pkt, ip=replace(pkt.ip, checksum=ip_stored),
+                  tcp=replace(pkt.tcp, checksum=tcp_stored))
+    expected = replace(
+        pkt,
+        ip=replace(pkt.ip, checksum=zeroed_ip_checksum(pkt.ip)),
+        tcp=replace(pkt.tcp, checksum=zeroed_tcp_checksum(pkt)),
+    )
+    assert pkt.with_checksums().encode() == expected.encode()
+
+
+def test_stored_all_ones_is_never_valid():
+    # payload chosen so the valid TCP checksum is 0x0000: 0xFFFF, the other
+    # one's-complement zero, sums to 0xFFFF in place but is not the checksum
+    pkt = make_packet(7, b"\x00\x00")
+    pkt = make_packet(7, pkt.tcp.checksum.to_bytes(2, "big"))
+    assert pkt.tcp.checksum == 0x0000 and pkt.tcp_checksum_valid()
+    ones = replace(pkt, tcp=replace(pkt.tcp, checksum=0xFFFF))
+    assert not ones.tcp_checksum_valid()
+
+
+# -- chaff is rejected by every RFC 1071 verifier ----------------------------
+
+
+def chaff_with_junk(monkeypatch, trace, label, junk):
+    monkeypatch.setattr(synth, "_junk", lambda rng, n: junk)
+    out = apply_evasion(trace, label, SynthParams())
+    assert len(out.packets) == 2
+    return out.packets[1]
+
+
+def test_tcp_chaff_with_zero_valid_checksum_is_rejected(monkeypatch):
+    trace = FlowTrace(key=(0, 0, 0, 0), packets=[make_packet(100, b"", syn=True)])
+    # the junk's last word cancels the rest of the sum: valid checksum 0x0000
+    probe = chaff_with_junk(monkeypatch, trace, EvasionLabel.TCP_CHAFF, bytes(8))
+    word = probe.with_checksums().tcp.checksum.to_bytes(2, "big")
+    chaff = chaff_with_junk(monkeypatch, trace, EvasionLabel.TCP_CHAFF, bytes(6) + word)
+    assert chaff.with_checksums().tcp.checksum == 0x0000
+    assert chaff.ip.checksum_valid()
+    assert not chaff.tcp_checksum_valid()
+    assert reference_checksum(tcp_summed_bytes(chaff, chaff.tcp)) != 0
+
+
+def test_ip_chaff_with_zero_valid_checksum_is_rejected(monkeypatch):
+    def trace_with_ident(ident):
+        pkt = make_packet(100, b"abcd", ident=ident)
+        return FlowTrace(key=(0, 0, 0, 0), packets=[pkt])
+
+    # the IP id word cancels the rest of the chaff header's sum
+    probe = chaff_with_junk(monkeypatch, trace_with_ident(0), EvasionLabel.IP_CHAFF, bytes(8))
+    ident = probe.ip.with_checksum().checksum
+    chaff = chaff_with_junk(monkeypatch, trace_with_ident(ident), EvasionLabel.IP_CHAFF, bytes(8))
+    assert chaff.ip.with_checksum().checksum == 0x0000
+    assert not chaff.ip.checksum_valid()
+    assert reference_checksum(chaff.ip.encode()) != 0

@@ -2,17 +2,23 @@
 
 import io
 import struct
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evasionlab.errors import BadMagicError, TruncatedFileError
+from evasionlab.errors import BadMagicError, EvasionLabError, TruncatedFileError
+from evasionlab.features import feature_matrix
+from evasionlab.packets import Ipv4Header
 from evasionlab.pcapio import (
+    CaptureStats,
     group_flows,
     read_pcap,
     write_pcap,
 )
 from evasionlab.synth import EvasionLabel, SynthParams, apply_evasion, generate_clean_flow
-from helpers import DPORT, DST, SPORT, SRC, make_fragment, make_packet
+from helpers import DPORT, DST, SPORT, SRC, make_fragment, make_ip, make_packet
 
 
 def roundtrip(packets):
@@ -154,3 +160,88 @@ def test_write_then_read_fragments():
     assert cap.records[0].tcp is None
     assert cap.records[0].ip.frag_offset == 2
     assert cap.records[0].payload == b"z" * 16
+
+
+def capture_bytes(packets, extra_frames=()):
+    """A written capture, then hand-built frames appended as records."""
+    buf = io.BytesIO()
+    write_pcap(buf, packets)
+    for frame in extra_frames:
+        buf.write(struct.pack("<IIII", 1, 0, len(frame), len(frame)))
+        buf.write(frame)
+    return buf.getvalue()
+
+
+def ipv4_frame(ip_bytes):
+    return bytes(12) + struct.pack("!H", 0x0800) + ip_bytes
+
+
+def test_each_frame_decodes_its_ip_header_once(monkeypatch):
+    trace = apply_evasion(generate_clean_flow(5, 8), EvasionLabel.IP_FRAG, SynthParams())
+    raw = capture_bytes(trace.packets)
+    decode = Ipv4Header.decode
+    calls = []
+
+    def counting_decode(cls, data):
+        calls.append(len(data))
+        return decode(data)
+
+    monkeypatch.setattr(Ipv4Header, "decode", classmethod(counting_decode))
+    cap = read_pcap(io.BytesIO(raw))
+    assert cap.stats.packets_tcp == len(trace.packets)
+    assert len(calls) == len(trace.packets)
+
+
+def _udp_frame():
+    ip = replace(make_ip(12, tcp_len=0), protocol=17).with_checksum()
+    return ipv4_frame(ip.encode() + bytes(12))
+
+
+def _bad_ihl_frame():
+    raw = bytearray(make_packet(3, b"ihl").encode())
+    raw[0] = 0x44  # version 4, header length 16 bytes
+    return ipv4_frame(bytes(raw))
+
+
+def _long_total_length_frame():
+    raw = bytearray(make_packet(3, b"short").encode())
+    struct.pack_into("!H", raw, 2, len(raw) + 10)
+    return ipv4_frame(bytes(raw))
+
+
+@pytest.mark.parametrize("frame, link, protocol", [
+    pytest.param(bytes(12) + struct.pack("!H", 0x86DD) + bytes(40), 1, 0, id="ipv6"),
+    pytest.param(bytes(10), 1, 0, id="short-ethernet"),
+    pytest.param(_udp_frame(), 0, 1, id="udp"),
+    pytest.param(_bad_ihl_frame(), 0, 1, id="bad-ihl"),
+    pytest.param(_long_total_length_frame(), 0, 1, id="total-length-past-end"),
+])
+def test_skipped_frames_are_counted_by_reason(frame, link, protocol):
+    raw = capture_bytes([make_packet(10, b"keep")], [frame])
+    cap = read_pcap(io.BytesIO(raw))
+    assert len(cap.records) == 1
+    assert cap.stats == CaptureStats(
+        packets_total=2, packets_tcp=1, packets_skipped=1,
+        skipped_link=link, skipped_protocol=protocol,
+    )
+
+
+_MUTATION_BASE = capture_bytes(
+    apply_evasion(generate_clean_flow(11, 5), EvasionLabel.IP_FRAG, SynthParams()).packets
+    + apply_evasion(generate_clean_flow(12, 5), EvasionLabel.TCP_OPT, SynthParams()).packets
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_MUTATION_BASE) - 1), st.integers(1, 255)),
+                min_size=1, max_size=3))
+def test_mutated_capture_raises_only_typed_errors(flips):
+    raw = bytearray(_MUTATION_BASE)
+    for index, mask in flips:
+        raw[index] ^= mask
+    try:
+        cap = read_pcap(io.BytesIO(bytes(raw)))
+        for flow in group_flows(cap.records):
+            feature_matrix(flow)
+    except EvasionLabError:
+        pass
