@@ -40,16 +40,23 @@ def ipv4_checksum(data: bytes) -> int:
     The 16-bit one's-complement of the one's-complement sum of all
     big-endian 16-bit words. RFC 1071 section 2 lets the sum run on
     words of any width in any order, as long as the carries are folded
-    back in: here the whole input is one integer ``n``. As 2**16 = 1
-    (mod 0xFFFF), the end-around-carry fold of ``n`` is ``n % 0xFFFF``,
-    except that the fold of a nonzero sum is never 0: a nonzero multiple
-    of 0xFFFF folds to 0xFFFF. The checksum field inside ``data`` must
-    already be zeroed by the caller.
+    back in: here the whole input is one integer, folded by ``_fold``.
+    The checksum field inside ``data`` must already be zeroed by the
+    caller.
     """
     if len(data) % 2:
         raise OddLengthError(f"checksum input has odd length {len(data)}")
-    n = int.from_bytes(data, "big")
-    return 0xFFFF - (n % 0xFFFF or (0xFFFF if n else 0))
+    return 0xFFFF - _fold(int.from_bytes(data, "big"))
+
+
+def _fold(n: int) -> int:
+    """End-around-carry fold of a nonnegative sum ``n`` to 16 bits.
+
+    As 2**16 = 1 (mod 0xFFFF), the fold is ``n % 0xFFFF``, except that
+    the fold of a nonzero sum is never 0: a nonzero multiple of 0xFFFF
+    folds to 0xFFFF.
+    """
+    return n % 0xFFFF or (0xFFFF if n else 0)
 
 
 def _tcp_sum(src_addr: int, dst_addr: int, segment: bytes) -> int:
@@ -71,11 +78,12 @@ def _checksum_if_zeroed(n: int, stored: int) -> int:
     """Checksum of the bytes summed in ``n`` with their field ``stored`` zeroed.
 
     Zeroing the field takes ``stored`` off the sum modulo 0xFFFF, so no
-    zeroed copy is needed. The zeroed bytes are never all zero (an IPv4
-    header's version nibble is 4, the TCP pseudo-header carries protocol
-    6), so their fold is never 0 and a residue of 0 stands for 0xFFFF.
+    zeroed copy is needed: ``n - stored`` is congruent to the zeroed sum.
+    Like that sum it is never zero (an IPv4 header's version nibble is 4
+    and sits above the field; the TCP pseudo-header adds protocol 6), so
+    both fold to the same value.
     """
-    return 0xFFFF - ((n - stored) % 0xFFFF or 0xFFFF)
+    return 0xFFFF - _fold(n - stored)
 
 
 def tcp_checksum(src_addr: int, dst_addr: int, tcp_bytes: bytes, payload: bytes) -> int:
@@ -385,15 +393,16 @@ class PacketRecord:
             return cls(ts=ts, ip=ip, tcp=tcp, payload=bytes(body[tcp.header_length :]))
         return cls(ts=ts, ip=ip, tcp=None, payload=bytes(body))
 
-    def _zeroed_tcp_checksum(self, tcp: TcpHeader) -> int:
-        n = _tcp_sum(self.ip.src_addr, self.ip.dst_addr, tcp.encode() + self.payload)
-        return _checksum_if_zeroed(n, tcp.checksum)
+    def _zeroed_tcp_checksum(self) -> int:
+        """TCP checksum computed with the field zeroed; needs a TCP header."""
+        n = _tcp_sum(self.ip.src_addr, self.ip.dst_addr, self.tcp.encode() + self.payload)
+        return _checksum_if_zeroed(n, self.tcp.checksum)
 
     def with_checksums(self) -> "PacketRecord":
         """Copy with valid IP (and, when present, TCP) checksums."""
         tcp = self.tcp
         if tcp is not None:
-            tcp = replace(tcp, checksum=self._zeroed_tcp_checksum(tcp))
+            tcp = replace(tcp, checksum=self._zeroed_tcp_checksum())
         return replace(self, ip=self.ip.with_checksum(), tcp=tcp)
 
     def tcp_checksum_valid(self) -> bool:
@@ -406,7 +415,7 @@ class PacketRecord:
         """
         if self.tcp is None:
             return False
-        return self._zeroed_tcp_checksum(self.tcp) == self.tcp.checksum
+        return self._zeroed_tcp_checksum() == self.tcp.checksum
 
 
 FlowKey = tuple[int, int, int, int]  # (src_addr, src_port, dst_addr, dst_port)

@@ -170,16 +170,6 @@ def _junk(rng: random.Random, n: int) -> bytes:
     return rng.randbytes(n)
 
 
-def _broken_checksum(valid: int) -> int:
-    """A checksum field that both an exact compare and an RFC 1071 in-place
-    sum reject, given the valid checksum.
-
-    Flipping every bit works except on 0x0000, whose flip 0xFFFF is the
-    other one's-complement zero: summed in place it verifies.
-    """
-    return valid ^ 0xFFFF if valid else 0x0001
-
-
 def _ip_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
     """After each real packet, a duplicate with random payload and a
     deliberately broken IP header checksum."""
@@ -196,7 +186,7 @@ def _ip_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
                        + (pkt.tcp.header_length if pkt.tcp else 0) + len(junk)),
             payload=junk,
         ).with_checksums()
-        bad_ip = replace(chaff.ip, checksum=_broken_checksum(chaff.ip.checksum))
+        bad_ip = replace(chaff.ip, checksum=chaff.ip.checksum ^ 0xFFFF)
         out.append(replace(chaff, ip=bad_ip))
     return out
 
@@ -241,7 +231,7 @@ def _tcp_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
             payload=junk,
         ).with_checksums()
         assert chaff.tcp is not None
-        bad_tcp = replace(chaff.tcp, checksum=_broken_checksum(chaff.tcp.checksum))
+        bad_tcp = replace(chaff.tcp, checksum=chaff.tcp.checksum ^ 0xFFFF)
         out.append(replace(chaff, tcp=bad_tcp))
     return out
 

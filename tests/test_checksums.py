@@ -10,13 +10,11 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evasionlab import synth
 from evasionlab.errors import OddLengthError
 from evasionlab.packets import (
-    FlowTrace,
     Ipv4Header,
     PacketRecord,
     TcpHeader,
@@ -25,7 +23,6 @@ from evasionlab.packets import (
     pad_tcp_options,
     tcp_checksum,
 )
-from evasionlab.synth import EvasionLabel, SynthParams, apply_evasion
 from helpers import make_packet
 
 
@@ -72,16 +69,17 @@ def test_inserting_checksum_validates():
     assert ipv4_checksum(bytes(header)) == 0
 
 
+# all-0xFF sums to a nonzero multiple of 0xFFFF: negative zero, checksum 0
 @given(st.binary(min_size=0, max_size=1500).filter(lambda b: len(b) % 2 == 0))
+@example(bytes([0x00]) * 2)
+@example(bytes([0x00]) * 4)
+@example(bytes([0x00]) * 20)
+@example(bytes([0x00]) * 1500)
+@example(bytes([0xFF]) * 2)
+@example(bytes([0xFF]) * 4)
+@example(bytes([0xFF]) * 20)
+@example(bytes([0xFF]) * 1500)
 def test_matches_reference(data):
-    assert ipv4_checksum(data) == reference_checksum(data)
-
-
-@pytest.mark.parametrize("fill", [0x00, 0xFF])
-@pytest.mark.parametrize("length", [2, 4, 20, 1500])
-def test_uniform_inputs_match_reference(fill, length):
-    # all-0xFF sums to a multiple of 0xFFFF: negative zero, checksum 0
-    data = bytes([fill]) * length
     assert ipv4_checksum(data) == reference_checksum(data)
 
 
@@ -237,39 +235,3 @@ def test_stored_all_ones_is_never_valid():
     assert pkt.tcp.checksum == 0x0000 and pkt.tcp_checksum_valid()
     ones = replace(pkt, tcp=replace(pkt.tcp, checksum=0xFFFF))
     assert not ones.tcp_checksum_valid()
-
-
-# -- chaff is rejected by every RFC 1071 verifier ----------------------------
-
-
-def chaff_with_junk(monkeypatch, trace, label, junk):
-    monkeypatch.setattr(synth, "_junk", lambda rng, n: junk)
-    out = apply_evasion(trace, label, SynthParams())
-    assert len(out.packets) == 2
-    return out.packets[1]
-
-
-def test_tcp_chaff_with_zero_valid_checksum_is_rejected(monkeypatch):
-    trace = FlowTrace(key=(0, 0, 0, 0), packets=[make_packet(100, b"", syn=True)])
-    # the junk's last word cancels the rest of the sum: valid checksum 0x0000
-    probe = chaff_with_junk(monkeypatch, trace, EvasionLabel.TCP_CHAFF, bytes(8))
-    word = probe.with_checksums().tcp.checksum.to_bytes(2, "big")
-    chaff = chaff_with_junk(monkeypatch, trace, EvasionLabel.TCP_CHAFF, bytes(6) + word)
-    assert chaff.with_checksums().tcp.checksum == 0x0000
-    assert chaff.ip.checksum_valid()
-    assert not chaff.tcp_checksum_valid()
-    assert reference_checksum(tcp_summed_bytes(chaff, chaff.tcp)) != 0
-
-
-def test_ip_chaff_with_zero_valid_checksum_is_rejected(monkeypatch):
-    def trace_with_ident(ident):
-        pkt = make_packet(100, b"abcd", ident=ident)
-        return FlowTrace(key=(0, 0, 0, 0), packets=[pkt])
-
-    # the IP id word cancels the rest of the chaff header's sum
-    probe = chaff_with_junk(monkeypatch, trace_with_ident(0), EvasionLabel.IP_CHAFF, bytes(8))
-    ident = probe.ip.with_checksum().checksum
-    chaff = chaff_with_junk(monkeypatch, trace_with_ident(ident), EvasionLabel.IP_CHAFF, bytes(8))
-    assert chaff.ip.with_checksum().checksum == 0x0000
-    assert not chaff.ip.checksum_valid()
-    assert reference_checksum(chaff.ip.encode()) != 0
