@@ -541,24 +541,11 @@ def softmax_xent(
     """Mean cross-entropy and the stabilized softmax probabilities."""
     labels = np.asarray(labels, dtype=int)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1))
+    ez = np.exp(shifted)
+    total = ez.sum(axis=-1, keepdims=True)
     true_shifted = shifted[np.arange(len(labels)), labels]
-    loss = float(np.mean(lse - true_shifted))
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
-    return loss, probs
-
-
-def dropout_forward(
-    activations: np.ndarray, rate: float, seed: int, train_mode: bool
-) -> np.ndarray:
-    """Inverted dropout: scales kept units by 1/(1-rate); identity in eval."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    if not train_mode or rate == 0.0:
-        return activations
-    rng = np.random.default_rng(seed)
-    mask = (rng.random(activations.shape) >= rate) / (1.0 - rate)
-    return activations * mask
+    loss = float(np.mean(np.log(total[:, 0]) - true_shifted))
+    return loss, ez / total
 
 
 def grad_check(
@@ -679,7 +666,6 @@ __all__ = [
     "reverse_padded",
     "softmax",
     "softmax_xent",
-    "dropout_forward",
     "grad_check",
     "save_model",
     "load_model",

@@ -18,10 +18,10 @@ receiver reduces to the original application bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import IncompleteStreamError
-from .packets import FlowTrace, PacketRecord, TcpHeader
+from .packets import FlowTrace, PacketRecord, TcpHeader, evolve
 
 
 @dataclass
@@ -71,7 +71,7 @@ def _reassemble_fragments(
     payload = bytes(buf[:total_len])
 
     first = min(fragments, key=lambda pair: (pair[1].ip.frag_offset, pair[0]))[1]
-    ip = replace(
+    ip = evolve(
         first.ip,
         flag_mf=False,
         frag_offset=0,

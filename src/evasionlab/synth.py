@@ -17,7 +17,7 @@ import enum
 import random
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import EmptyPayloadError
 from .packets import (
@@ -29,6 +29,7 @@ from .packets import (
     TCP_OPT_MSS,
     TCP_OPT_NOP,
     TCP_OPT_TIMESTAMP,
+    evolve,
 )
 
 
@@ -179,15 +180,15 @@ def _ip_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, rng.randint(8, 64))
-        chaff = replace(
+        chaff = evolve(
             pkt,
             ts=pkt.ts + 1e-5,
-            ip=replace(pkt.ip, total_length=pkt.ip.header_length
+            ip=evolve(pkt.ip, total_length=pkt.ip.header_length
                        + (pkt.tcp.header_length if pkt.tcp else 0) + len(junk)),
             payload=junk,
         ).with_checksums()
-        bad_ip = replace(chaff.ip, checksum=chaff.ip.checksum ^ 0xFFFF)
-        out.append(replace(chaff, ip=bad_ip))
+        bad_ip = evolve(chaff.ip, checksum=chaff.ip.checksum ^ 0xFFFF)
+        out.append(evolve(chaff, ip=bad_ip))
     return out
 
 
@@ -202,10 +203,10 @@ def _ip_ttl(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, len(pkt.payload))
-        chaff = replace(
+        chaff = evolve(
             pkt,
             ts=pkt.ts + 1e-5,
-            ip=replace(pkt.ip, ttl=params.ttl_floor),
+            ip=evolve(pkt.ip, ttl=params.ttl_floor),
             payload=junk,
         ).with_checksums()
         out.append(chaff)
@@ -221,18 +222,18 @@ def _tcp_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if pkt.tcp is None or rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, len(pkt.payload) or 8)
-        chaff = replace(
+        chaff = evolve(
             pkt,
             ts=pkt.ts + 1e-5,
-            ip=replace(
+            ip=evolve(
                 pkt.ip,
                 total_length=pkt.ip.header_length + pkt.tcp.header_length + len(junk),
             ),
             payload=junk,
         ).with_checksums()
         assert chaff.tcp is not None
-        bad_tcp = replace(chaff.tcp, checksum=chaff.tcp.checksum ^ 0xFFFF)
-        out.append(replace(chaff, tcp=bad_tcp))
+        bad_tcp = evolve(chaff.tcp, checksum=chaff.tcp.checksum ^ 0xFFFF)
+        out.append(evolve(chaff, tcp=bad_tcp))
     return out
 
 
@@ -261,7 +262,7 @@ def _ip_frag(trace: FlowTrace, params: SynthParams, rng: random.Random):
             if params.overlap and j > 0:
                 offset_units -= 1
                 data = _junk(rng, 8) + chunk
-            ip = replace(
+            ip = evolve(
                 pkt.ip,
                 flag_df=False,
                 flag_mf=j < len(chunks) - 1,
@@ -279,13 +280,13 @@ def _ip_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
     opts = bytes([1, 7, 7, 4, 0, 0, 0, 0])  # NOP, then RR: kind 7, len 7, ptr 4
     out: list[PacketRecord] = []
     for pkt in trace.packets:
-        ip = replace(
+        ip = evolve(
             pkt.ip,
             ihl=pkt.ip.ihl + 2,
             total_length=pkt.ip.total_length + len(opts),
             options=pkt.ip.options + opts,
         )
-        out.append(replace(pkt, ip=ip).with_checksums())
+        out.append(evolve(pkt, ip=ip).with_checksums())
     return out
 
 
@@ -294,8 +295,8 @@ def _ip_tos(trace: FlowTrace, params: SynthParams, rng: random.Random):
     values = params.tos_values
     out: list[PacketRecord] = []
     for j, pkt in enumerate(trace.packets):
-        ip = replace(pkt.ip, tos=values[j % len(values)])
-        out.append(replace(pkt, ip=ip).with_checksums())
+        ip = evolve(pkt.ip, tos=values[j % len(values)])
+        out.append(evolve(pkt, ip=ip).with_checksums())
     return out
 
 
@@ -320,12 +321,10 @@ def _tcp_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
         else:
             out.append(pkt)
             continue
-        opt_len = sum(len(o.encode()) for o in options)
-        tcp = replace(
-            pkt.tcp, data_offset=5 + opt_len // 4, options=options
-        )
-        ip = replace(pkt.ip, total_length=pkt.ip.total_length + opt_len)
-        out.append(replace(pkt, ip=ip, tcp=tcp).with_checksums())
+        opt_len = sum(o.size for o in options)
+        tcp = evolve(pkt.tcp, data_offset=5 + opt_len // 4, options=options)
+        ip = evolve(pkt.ip, total_length=pkt.ip.total_length + opt_len)
+        out.append(evolve(pkt, ip=ip, tcp=tcp).with_checksums())
     return out
 
 
@@ -351,32 +350,32 @@ def _tcp_seg(trace: FlowTrace, params: SynthParams, rng: random.Random):
             seq_j = (pkt.tcp.seq + j * params.seg_bytes) & 0xFFFFFFFF
             if params.overlap and j > 0:
                 junk = _junk(rng, params.seg_bytes)
-                resend = replace(
+                resend = evolve(
                     pkt,
                     ts=pkt.ts + emitted * 1e-4,
-                    ip=replace(
+                    ip=evolve(
                         pkt.ip,
                         total_length=pkt.ip.header_length
                         + pkt.tcp.header_length
                         + len(junk),
                     ),
-                    tcp=replace(
+                    tcp=evolve(
                         pkt.tcp, seq=(seq_j - params.seg_bytes) & 0xFFFFFFFF
                     ),
                     payload=junk,
                 ).with_checksums()
                 out.append(resend)
                 emitted += 1
-            seg = replace(
+            seg = evolve(
                 pkt,
                 ts=pkt.ts + emitted * 1e-4,
-                ip=replace(
+                ip=evolve(
                     pkt.ip,
                     total_length=pkt.ip.header_length
                     + pkt.tcp.header_length
                     + len(chunk),
                 ),
-                tcp=replace(pkt.tcp, seq=seq_j),
+                tcp=evolve(pkt.tcp, seq=seq_j),
                 payload=chunk,
             ).with_checksums()
             out.append(seg)

@@ -1,15 +1,19 @@
-"""Hand-rolled builders shared across test modules.
+"""Hand-rolled builders and hypothesis strategies shared across test modules.
 
 Everything here constructs packets the long way, without going through the
 synthesis code, so tests keep an independent path to valid on-the-wire
 structures.
 """
 
+from hypothesis import strategies as st
+
 from evasionlab.packets import (
     FlowTrace,
     Ipv4Header,
     PacketRecord,
     TcpHeader,
+    TcpOption,
+    pad_tcp_options,
     str_to_addr,
 )
 
@@ -125,3 +129,51 @@ def handshake_trace(chunks: list[bytes], isn: int = 1000) -> FlowTrace:
         key=(SRC, SPORT, DST, DPORT),
         packets=packets,
     )
+
+
+TCP_OPTIONS = st.lists(
+    st.one_of(
+        st.just(TcpOption(1)),
+        st.binary(min_size=2, max_size=2).map(lambda b: TcpOption(2, b)),
+        st.binary(min_size=1, max_size=1).map(lambda b: TcpOption(3, b)),
+        st.binary(min_size=8, max_size=8).map(lambda b: TcpOption(8, b)),
+        st.tuples(st.integers(9, 255), st.binary(max_size=6)).map(lambda t: TcpOption(*t)),
+    ),
+    max_size=5,
+).map(pad_tcp_options).filter(lambda opts: sum(len(o.encode()) for o in opts) <= 40)
+
+
+@st.composite
+def random_packets(draw):
+    """A TCP packet with random header fields, options and payload."""
+    options = draw(TCP_OPTIONS)
+    tcp = TcpHeader(
+        src_port=draw(st.integers(0, 0xFFFF)),
+        dst_port=draw(st.integers(0, 0xFFFF)),
+        seq=draw(st.integers(0, 2**32 - 1)),
+        ack=draw(st.integers(0, 2**32 - 1)),
+        data_offset=5 + sum(len(o.encode()) for o in options) // 4,
+        flag_syn=draw(st.booleans()),
+        flag_ack=draw(st.booleans()),
+        window=draw(st.integers(0, 0xFFFF)),
+        urgent=draw(st.integers(0, 0xFFFF)),
+        options=options,
+    )
+    ihl = draw(st.integers(5, 15))
+    payload = draw(st.binary(max_size=300))
+    ip = Ipv4Header(
+        ihl=ihl,
+        tos=draw(st.integers(0, 255)),
+        total_length=ihl * 4 + tcp.header_length + len(payload),
+        identification=draw(st.integers(0, 0xFFFF)),
+        flag_df=draw(st.booleans()),
+        flag_mf=False,
+        frag_offset=0,
+        ttl=draw(st.integers(0, 255)),
+        protocol=6,
+        checksum=0,
+        src_addr=draw(st.integers(0, 2**32 - 1)),
+        dst_addr=draw(st.integers(0, 2**32 - 1)),
+        options=draw(st.binary(min_size=(ihl - 5) * 4, max_size=(ihl - 5) * 4)),
+    )
+    return PacketRecord(ts=0.0, ip=ip, tcp=tcp, payload=payload)

@@ -18,12 +18,10 @@ from evasionlab.packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
-    TcpOption,
     ipv4_checksum,
-    pad_tcp_options,
     tcp_checksum,
 )
-from helpers import make_packet
+from helpers import make_packet, random_packets
 
 
 def reference_checksum(data: bytes) -> int:
@@ -153,69 +151,21 @@ def stored_value(kind: str, computed: int) -> int:
     }[kind]
 
 
-TCP_OPTIONS = st.lists(
-    st.one_of(
-        st.just(TcpOption(1)),
-        st.binary(min_size=2, max_size=2).map(lambda b: TcpOption(2, b)),
-        st.binary(min_size=1, max_size=1).map(lambda b: TcpOption(3, b)),
-        st.binary(min_size=8, max_size=8).map(lambda b: TcpOption(8, b)),
-        st.tuples(st.integers(9, 255), st.binary(max_size=6)).map(lambda t: TcpOption(*t)),
-    ),
-    max_size=5,
-).map(pad_tcp_options).filter(lambda opts: sum(len(o.encode()) for o in opts) <= 40)
-
-
-@st.composite
-def packets(draw):
-    """A TCP packet with random header fields, options and payload."""
-    options = draw(TCP_OPTIONS)
-    tcp = TcpHeader(
-        src_port=draw(st.integers(0, 0xFFFF)),
-        dst_port=draw(st.integers(0, 0xFFFF)),
-        seq=draw(st.integers(0, 2**32 - 1)),
-        ack=draw(st.integers(0, 2**32 - 1)),
-        data_offset=5 + sum(len(o.encode()) for o in options) // 4,
-        flag_syn=draw(st.booleans()),
-        flag_ack=draw(st.booleans()),
-        window=draw(st.integers(0, 0xFFFF)),
-        urgent=draw(st.integers(0, 0xFFFF)),
-        options=options,
-    )
-    ihl = draw(st.integers(5, 15))
-    payload = draw(st.binary(max_size=300))
-    ip = Ipv4Header(
-        ihl=ihl,
-        tos=draw(st.integers(0, 255)),
-        total_length=ihl * 4 + tcp.header_length + len(payload),
-        identification=draw(st.integers(0, 0xFFFF)),
-        flag_df=draw(st.booleans()),
-        flag_mf=False,
-        frag_offset=0,
-        ttl=draw(st.integers(0, 255)),
-        protocol=6,
-        checksum=0,
-        src_addr=draw(st.integers(0, 2**32 - 1)),
-        dst_addr=draw(st.integers(0, 2**32 - 1)),
-        options=draw(st.binary(min_size=(ihl - 5) * 4, max_size=(ihl - 5) * 4)),
-    )
-    return PacketRecord(ts=0.0, ip=ip, tcp=tcp, payload=payload)
-
-
-@given(packets(), st.sampled_from(STORED))
+@given(random_packets(), st.sampled_from(STORED))
 def test_ip_checksum_valid_matches_zeroed_recompute(pkt, kind):
     computed = zeroed_ip_checksum(pkt.ip)
     ip = replace(pkt.ip, checksum=stored_value(kind, computed))
     assert ip.checksum_valid() == (zeroed_ip_checksum(ip) == ip.checksum)
 
 
-@given(packets(), st.sampled_from(STORED))
+@given(random_packets(), st.sampled_from(STORED))
 def test_tcp_checksum_valid_matches_zeroed_recompute(pkt, kind):
     computed = zeroed_tcp_checksum(pkt)
     pkt = replace(pkt, tcp=replace(pkt.tcp, checksum=stored_value(kind, computed)))
     assert pkt.tcp_checksum_valid() == (zeroed_tcp_checksum(pkt) == pkt.tcp.checksum)
 
 
-@given(packets(), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+@given(random_packets(), st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
 def test_with_checksums_matches_zeroed_recompute(pkt, ip_stored, tcp_stored):
     pkt = replace(pkt, ip=replace(pkt.ip, checksum=ip_stored),
                   tcp=replace(pkt.tcp, checksum=tcp_stored))

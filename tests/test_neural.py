@@ -23,7 +23,6 @@ from evasionlab.neural import (
     BiLstmModel,
     LstmCellParams,
     ModelConfig,
-    dropout_forward,
     grad_check,
     load_model,
     lstm_cell_forward,
@@ -367,36 +366,6 @@ def test_softmax_extreme_logits_stay_finite():
     assert probs[0, 0] == pytest.approx(1.0)
     out = softmax(np.array([[1000.0, 0.0]]))
     assert np.all(np.isfinite(out))
-
-
-# -- dropout ----------------------------------------------------------------
-
-
-def test_dropout_identity_cases():
-    x = np.ones((4, 6))
-    assert dropout_forward(x, 0.0, seed=1, train_mode=True) is x
-    assert dropout_forward(x, 0.5, seed=1, train_mode=False) is x
-
-
-def test_dropout_scales_survivors():
-    x = np.ones((2000,))
-    out = dropout_forward(x, 0.25, seed=9, train_mode=True)
-    kept = out[out != 0]
-    assert np.allclose(kept, 1.0 / 0.75)
-    # survivor fraction near 75%
-    assert 0.70 < kept.size / x.size < 0.80
-
-
-def test_dropout_seed_reproducible():
-    x = np.ones((50, 8))
-    a = dropout_forward(x, 0.5, seed=3, train_mode=True)
-    b = dropout_forward(x, 0.5, seed=3, train_mode=True)
-    assert np.array_equal(a, b)
-
-
-def test_dropout_bad_rate():
-    with pytest.raises(ValueError):
-        dropout_forward(np.ones(3), 1.0, seed=0, train_mode=True)
 
 
 # -- gradients --------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Header encode/decode round-trips and field validation."""
+"""Header encode/decode round-trips, field validation and frozen copies."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given
@@ -14,11 +16,12 @@ from evasionlab.packets import (
     addr_to_str,
     decode_tcp_options,
     encode_tcp_options,
+    evolve,
     flow_key_of,
     pad_tcp_options,
     str_to_addr,
 )
-from helpers import make_fragment, make_ip, make_packet
+from helpers import make_fragment, make_ip, make_packet, random_packets
 
 
 # -- addresses --------------------------------------------------------------
@@ -176,6 +179,32 @@ def test_tcp_header_round_trip_with_mss():
     assert back.find_option(TCP_OPT_MSS).payload == b"\x05\xb4"
 
 
+def test_tcp_option_kind_must_fit_a_byte():
+    with pytest.raises(ValueError):
+        TcpOption(256)
+    with pytest.raises(ValueError):
+        TcpOption(-1)
+
+
+def test_tcp_header_validation_encodes_no_options(monkeypatch):
+    calls = []
+
+    def counting_encode(options):
+        calls.append(options)
+        return encode_tcp_options(options)
+
+    monkeypatch.setattr("evasionlab.packets.encode_tcp_options", counting_encode)
+    options = pad_tcp_options(
+        [TcpOption(TCP_OPT_MSS, b"\x05\xb4"), TcpOption(TCP_OPT_TIMESTAMP, bytes(8))]
+    )
+    hdr = TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=9, options=options)
+    moved = evolve(hdr, seq=7)
+    raw = moved.encode()
+    assert len(calls) == 1
+    assert TcpHeader.decode(raw) == moved
+    assert len(calls) == 1
+
+
 def test_find_option_missing():
     hdr = TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=5)
     assert hdr.find_option(TCP_OPT_MSS) is None
@@ -240,3 +269,90 @@ def test_payload_and_seq_round_trip(payload, seq):
     back = PacketRecord.decode(pkt.encode(), ts=0.0)
     assert back.payload == payload
     assert back.tcp.seq == seq
+
+
+# -- frozen copies -----------------------------------------------------------
+
+
+def field_values(obj):
+    return [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+
+
+def assert_same_copy(obj, changes):
+    ours = evolve(obj, **changes)
+    theirs = dataclasses.replace(obj, **changes)
+    assert type(ours) is type(theirs)
+    assert field_values(ours) == field_values(theirs)
+    assert ours == theirs and hash(ours) == hash(theirs)
+    assert ours.encode() == theirs.encode()
+
+
+IP_CHANGES = st.fixed_dictionaries({}, optional={
+    "tos": st.integers(0, 255),
+    "identification": st.integers(0, 0xFFFF),
+    "flag_df": st.booleans(),
+    "ttl": st.integers(0, 255),
+    "checksum": st.integers(0, 0xFFFF),
+    "src_addr": st.integers(0, 2**32 - 1),
+    "dst_addr": st.integers(0, 2**32 - 1),
+})
+
+TCP_CHANGES = st.fixed_dictionaries({}, optional={
+    "src_port": st.integers(0, 0xFFFF),
+    "dst_port": st.integers(0, 0xFFFF),
+    "seq": st.integers(0, 2**32 - 1),
+    "ack": st.integers(0, 2**32 - 1),
+    "flag_fin": st.booleans(),
+    "flag_rst": st.booleans(),
+    "flag_urg": st.booleans(),
+    "window": st.integers(0, 0xFFFF),
+    "checksum": st.integers(0, 0xFFFF),
+    "urgent": st.integers(0, 0xFFFF),
+})
+
+
+@given(random_packets(), IP_CHANGES)
+def test_evolve_matches_replace_on_ipv4_headers(pkt, changes):
+    assert_same_copy(pkt.ip, changes)
+
+
+@given(random_packets(), TCP_CHANGES)
+def test_evolve_matches_replace_on_tcp_headers(pkt, changes):
+    assert_same_copy(pkt.tcp, changes)
+
+
+@given(random_packets(), IP_CHANGES, TCP_CHANGES,
+       st.one_of(st.none(), st.binary(max_size=300)), st.floats(0, 2e9))
+def test_evolve_matches_replace_on_packets(pkt, ip_changes, tcp_changes, payload, ts):
+    changes = {"ts": ts, "tcp": evolve(pkt.tcp, **tcp_changes)}
+    if payload is not None:
+        changes["payload"] = payload
+        ip_changes = {**ip_changes,
+                      "total_length": pkt.ip.total_length - len(pkt.payload) + len(payload)}
+    changes["ip"] = evolve(pkt.ip, **ip_changes)
+    assert_same_copy(pkt, changes)
+
+
+def test_evolve_leaves_the_original_unchanged():
+    pkt = make_packet(1000, b"hello")
+    before = pkt.encode()
+    moved = evolve(pkt, ip=evolve(pkt.ip, ttl=3), ts=1.5)
+    assert pkt.encode() == before and pkt.ts == 0.0 and pkt.ip.ttl == 64
+    assert moved.ip.ttl == 3 and moved.ts == 1.5
+
+
+def test_evolve_rejects_unknown_fields():
+    pkt = make_packet(1000, b"hello")
+    for obj in (pkt, pkt.ip, pkt.tcp):
+        with pytest.raises(TypeError):
+            evolve(obj, no_such_field=1)
+
+
+def test_evolve_validates_the_copy():
+    pkt = make_packet(1000, b"hello")
+    with pytest.raises(ValueError):
+        evolve(pkt.ip, ihl=6)  # no options to fill the extra 4 bytes
+    with pytest.raises(ValueError):
+        evolve(pkt.tcp, data_offset=6)
+    with pytest.raises(ValueError):
+        evolve(pkt, payload=b"hello!")  # total_length still counts 5 bytes

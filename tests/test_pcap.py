@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from evasionlab.errors import BadMagicError, EvasionLabError, TruncatedFileError
 from evasionlab.features import feature_matrix
-from evasionlab.packets import Ipv4Header
+from evasionlab.packets import Ipv4Header, encode_tcp_options
 from evasionlab.pcapio import (
     CaptureStats,
     group_flows,
@@ -191,6 +191,28 @@ def test_each_frame_decodes_its_ip_header_once(monkeypatch):
     assert cap.stats.packets_tcp == len(trace.packets)
     assert len(calls) == len(trace.packets)
 
+
+
+def test_read_to_features_encodes_each_tcp_option_block_once(monkeypatch):
+    packets = (
+        apply_evasion(generate_clean_flow(7, 6), EvasionLabel.TCP_OPT, SynthParams()).packets
+        + apply_evasion(generate_clean_flow(8, 6), EvasionLabel.IP_FRAG, SynthParams()).packets
+    )
+    raw = capture_bytes(packets)
+    calls = []
+
+    def counting_encode(options):
+        calls.append(options)
+        return encode_tcp_options(options)
+
+    monkeypatch.setattr("evasionlab.packets.encode_tcp_options", counting_encode)
+    cap = read_pcap(io.BytesIO(raw))
+    assert calls == []  # decoding validates option lengths without encoding
+    for flow in group_flows(cap.records):
+        feature_matrix(flow)
+    # one encode per TCP header, for its checksum; fragments carry none
+    assert len(calls) == sum(p.tcp is not None for p in cap.records)
+    assert any(calls)
 
 def _udp_frame():
     ip = replace(make_ip(12, tcp_len=0), protocol=17).with_checksum()

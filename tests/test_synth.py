@@ -4,9 +4,15 @@ The central invariant is that every transform fools only a naive
 observer: a strict endpoint reassembles exactly the clean payload.
 """
 
+import hashlib
+import io
+
+import numpy as np
 import pytest
 
 from evasionlab.errors import EmptyPayloadError
+from evasionlab.features import feature_matrix
+from evasionlab.pcapio import write_pcap
 from evasionlab.receiver import normalize_receive
 from evasionlab.synth import (
     CLEAN_LABEL,
@@ -344,3 +350,24 @@ def test_corpus_packet_counts_in_range():
     for trace, label in corpus:
         if label in (EvasionLabel.IP_OPT, EvasionLabel.IP_TOS):
             assert 4 <= len(trace.packets) <= 8
+
+
+# Recorded from the build that copied headers with dataclasses.replace.
+GOLDEN_CORPUS = {
+    False: ("c30f480581e65e912c183a997db73c01dd209f715cdb3b169865e8a9d2856412",
+            "1d025264395f369d129ee9ab35805eafbfda3bfb613f70911a249aedc0bf6288"),
+    True: ("3f92d721e20f4e45ede84e017acdff4bd8a499b04cf36c02c9c44629cf01631e",
+           "5e8357870d14988ad64861c0fe67e77414c313b8cc457204ed7c81d913a1c11b"),
+}
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_corpus_bytes_match_golden(overlap):
+    corpus = build_labeled_corpus(2, SynthParams(overlap=overlap), seed=2024)
+    buf = io.BytesIO()
+    write_pcap(buf, [p for trace, _ in corpus for p in trace.packets])
+    features = b"".join(
+        np.ascontiguousarray(feature_matrix(trace), dtype="<f4").tobytes() for trace, _ in corpus
+    )
+    assert (hashlib.sha256(buf.getvalue()).hexdigest(),
+            hashlib.sha256(features).hexdigest()) == GOLDEN_CORPUS[overlap]
