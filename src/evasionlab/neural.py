@@ -132,8 +132,8 @@ def _activate_gates(a: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> None
 
 def lstm_cell_forward(
     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmCellParams
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One cell step on vectors (or batches of vectors along axis 0)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One cell step on vectors (or batches of vectors along axis 0): (h, c)."""
     h = p.hidden
     if x.shape[-1] != p.w_x.shape[1] or h_prev.shape[-1] != h or c_prev.shape[-1] != h:
         raise ShapeMismatchError(
@@ -144,10 +144,7 @@ def lstm_cell_forward(
     _activate_gates(gates, *_gate_constants(h))
     i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
     c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    h_out = o * tanh_c
-    cache = {"i": i, "f": f, "g": g, "o": o, "c": c, "tanh_c": tanh_c}
-    return h_out, c, cache
+    return o * np.tanh(c), c
 
 
 def _reversed_steps(lengths: np.ndarray, t_len: int) -> np.ndarray:
@@ -555,9 +552,18 @@ def grad_check(
     labels: np.ndarray,
     eps: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Worst per-entry error of the analytic gradient against central
+    differences, scaled so that the result is at most 1e-4 exactly when
+    every entry agrees within 1e-4 relative error or within the round-off
+    floor ``64 * eps_mach * |loss| / eps`` of the central difference.
+
+    Each entry's absolute error is divided by its magnitude plus
+    ``floor / 1e-4``. Far above the floor that is its relative error; far
+    below it, an entry is compared with the floor itself, so round-off on
+    tiny entries does not read as gradient error.
+    """
     logits, tape = model.forward(x, mask)
-    del logits
+    loss, _ = softmax_xent(logits, labels)
     analytic = model.backward(tape, labels)
     theta = model.flatten()
     numeric = np.empty_like(theta)
@@ -574,8 +580,9 @@ def grad_check(
                 down = loss
         numeric[idx] = (up - down) / (2.0 * eps)
     model.load_flat(theta)
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    floor = 64 * np.finfo(np.float64).eps * abs(loss) / eps
+    scale = np.maximum(np.abs(analytic), np.abs(numeric)) + floor / 1e-4
+    return float(np.max(np.abs(analytic - numeric) / scale))
 
 
 # -- checkpoint io ----------------------------------------------------------

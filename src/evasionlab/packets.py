@@ -4,6 +4,14 @@ All header types are frozen dataclasses: transforms never mutate a packet,
 they build modified copies with :func:`evolve`, which validates each copy
 as the constructor does. Addresses are kept as 32-bit ints; helpers convert
 to/from dotted quads for display only.
+
+``Ipv4Header.with_checksum`` and ``PacketRecord.with_checksums`` take the
+field changes themselves, so a rewritten packet costs one copy per header
+it changes plus one record. The checksum is computed on that fresh copy
+and written into its field before the copy is returned; nothing else
+holds the copy yet, so no shared header ever changes. Checksums are always
+recomputed from the header bytes, never updated from the stored value, so
+a packet that arrives with a wrong checksum leaves with a valid one.
 """
 
 from __future__ import annotations
@@ -12,8 +20,10 @@ import functools
 import operator
 import struct
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
+from types import MappingProxyType
 
 from .errors import OddLengthError, ShapeMismatchError
 
@@ -43,6 +53,8 @@ TCP_URG = 0x20
 _new = object.__new__
 _setattr = object.__setattr__
 _consume = deque(maxlen=0).extend  # runs an iterator to its end
+
+_NO_CHANGES: Mapping = MappingProxyType({})
 
 
 @functools.cache
@@ -236,9 +248,21 @@ class Ipv4Header:
     def _zeroed_checksum(self) -> int:
         return _checksum_if_zeroed(int.from_bytes(self.encode(), "big"), self.checksum)
 
-    def with_checksum(self) -> "Ipv4Header":
-        """Copy with the checksum recomputed over the zero-checksum encoding."""
-        return evolve(self, checksum=self._zeroed_checksum())
+    def _write_checksum(self, mask: int = 0) -> "Ipv4Header":
+        """Write the recomputed checksum, XOR ``mask``, into this header.
+
+        Only for a header just built that nothing else holds yet.
+        """
+        _setattr(self, "checksum", self._zeroed_checksum() ^ mask)
+        return self
+
+    def with_checksum(self, **changes) -> "Ipv4Header":
+        """One copy with ``changes`` applied and its checksum recomputed.
+
+        The checksum is computed over the copy's encoding with the field
+        zeroed and written into the copy before it is returned.
+        """
+        return evolve(self, **changes)._write_checksum()
 
     def checksum_valid(self) -> bool:
         """Whether the stored checksum equals the one computed over the
@@ -400,6 +424,24 @@ class TcpHeader:
             options=decode_tcp_options(data[20 : data_offset * 4]),
         )
 
+    def _write_checksum(
+        self, ip: Ipv4Header, payload: bytes, mask: int = 0
+    ) -> "TcpHeader":
+        """Write the recomputed checksum of this header carried under ``ip``
+        with ``payload``, XOR ``mask``, into this header.
+
+        Only for a header just built that nothing else holds yet.
+        """
+        _setattr(self, "checksum", _zeroed_tcp_checksum(ip, self, payload) ^ mask)
+        return self
+
+
+def _zeroed_tcp_checksum(ip: Ipv4Header, tcp: TcpHeader, payload: bytes) -> int:
+    """TCP checksum of ``tcp`` and ``payload`` under ``ip``, computed with
+    the field zeroed."""
+    n = _tcp_sum(ip.src_addr, ip.dst_addr, tcp.encode() + payload)
+    return _checksum_if_zeroed(n, tcp.checksum)
+
 
 @dataclass(frozen=True)
 class PacketRecord:
@@ -449,17 +491,44 @@ class PacketRecord:
             return cls(ts=ts, ip=ip, tcp=tcp, payload=bytes(body[tcp.header_length :]))
         return cls(ts=ts, ip=ip, tcp=None, payload=bytes(body))
 
-    def _zeroed_tcp_checksum(self) -> int:
-        """TCP checksum computed with the field zeroed; needs a TCP header."""
-        n = _tcp_sum(self.ip.src_addr, self.ip.dst_addr, self.tcp.encode() + self.payload)
-        return _checksum_if_zeroed(n, self.tcp.checksum)
+    def with_checksums(
+        self,
+        ip_changes: Mapping = _NO_CHANGES,
+        tcp_changes: Mapping = _NO_CHANGES,
+        **changes,
+    ) -> "PacketRecord":
+        """Copy with valid IP (and, when present, TCP) checksums.
 
-    def with_checksums(self) -> "PacketRecord":
-        """Copy with valid IP (and, when present, TCP) checksums."""
+        ``ip_changes`` and ``tcp_changes`` are applied to the headers and
+        ``changes`` (``ts``, ``payload``) to the record. The result is one
+        new record, one new IP header, and a new TCP header only when a TCP
+        field changes or its recomputed checksum differs from the stored
+        one. Each checksum is computed on the new header and written into
+        it before the copy is returned.
+        """
+        return self._with_checksums(ip_changes, tcp_changes, changes)
+
+    def _with_checksums(
+        self,
+        ip_changes: Mapping,
+        tcp_changes: Mapping,
+        changes: Mapping,
+        ip_mask: int = 0,
+        tcp_mask: int = 0,
+    ) -> "PacketRecord":
+        """:meth:`with_checksums` whose checksums are XORed with the masks;
+        a nonzero mask makes chaff whose checksum is deliberately wrong."""
+        ip = evolve(self.ip, **ip_changes)._write_checksum(ip_mask)
         tcp = self.tcp
         if tcp is not None:
-            tcp = evolve(tcp, checksum=self._zeroed_tcp_checksum())
-        return evolve(self, ip=self.ip.with_checksum(), tcp=tcp)
+            payload = changes.get("payload", self.payload)
+            if tcp_changes:
+                tcp = evolve(tcp, **tcp_changes)._write_checksum(ip, payload, tcp_mask)
+            else:
+                checksum = _zeroed_tcp_checksum(ip, tcp, payload) ^ tcp_mask
+                if checksum != tcp.checksum:
+                    tcp = evolve(tcp, checksum=checksum)
+        return evolve(self, ip=ip, tcp=tcp, **changes)
 
     def tcp_checksum_valid(self) -> bool:
         """Whether a TCP header is present and its stored checksum equals
@@ -471,7 +540,7 @@ class PacketRecord:
         """
         if self.tcp is None:
             return False
-        return self._zeroed_tcp_checksum() == self.tcp.checksum
+        return _zeroed_tcp_checksum(self.ip, self.tcp, self.payload) == self.tcp.checksum
 
 
 FlowKey = tuple[int, int, int, int]  # (src_addr, src_port, dst_addr, dst_port)

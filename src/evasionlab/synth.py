@@ -29,7 +29,6 @@ from .packets import (
     TCP_OPT_MSS,
     TCP_OPT_NOP,
     TCP_OPT_TIMESTAMP,
-    evolve,
 )
 
 
@@ -99,7 +98,8 @@ def generate_clean_flow(
     """A syntactically valid one-direction flow: SYN then data packets.
 
     TTL 64, TOS 0, DF set, no options, valid checksums; sequence numbers
-    advance by payload length; timestamps step by 10 ms.
+    advance by payload length; timestamps step by 10 ms. Each header is
+    built once and gets its checksum written before it is shared.
     """
     if n_packets < 1:
         raise ValueError("n_packets must be >= 1")
@@ -131,7 +131,7 @@ def generate_clean_flow(
             checksum=0,
             src_addr=src,
             dst_addr=dst,
-        )
+        )._write_checksum()
         tcp = TcpHeader(
             src_port=sport,
             dst_port=dport,
@@ -142,9 +142,8 @@ def generate_clean_flow(
             flag_psh=not syn,
             flag_ack=not syn,
             window=64240,
-        )
-        pkt = PacketRecord(ts=ts + 0.01 * idx, ip=ip, tcp=tcp, payload=payload)
-        return pkt.with_checksums()
+        )._write_checksum(ip, payload)
+        return PacketRecord(ts=ts + 0.01 * idx, ip=ip, tcp=tcp, payload=payload)
 
     packets = [build(isn, b"", 0, syn=True)]
     seq = (isn + 1) & 0xFFFFFFFF
@@ -180,15 +179,11 @@ def _ip_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, rng.randint(8, 64))
-        chaff = evolve(
-            pkt,
-            ts=pkt.ts + 1e-5,
-            ip=evolve(pkt.ip, total_length=pkt.ip.header_length
-                       + (pkt.tcp.header_length if pkt.tcp else 0) + len(junk)),
-            payload=junk,
-        ).with_checksums()
-        bad_ip = evolve(chaff.ip, checksum=chaff.ip.checksum ^ 0xFFFF)
-        out.append(evolve(chaff, ip=bad_ip))
+        ip_changes = {"total_length": pkt.ip.header_length
+                      + (pkt.tcp.header_length if pkt.tcp else 0) + len(junk)}
+        out.append(pkt._with_checksums(
+            ip_changes, {}, {"ts": pkt.ts + 1e-5, "payload": junk}, ip_mask=0xFFFF
+        ))
     return out
 
 
@@ -203,13 +198,9 @@ def _ip_ttl(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, len(pkt.payload))
-        chaff = evolve(
-            pkt,
-            ts=pkt.ts + 1e-5,
-            ip=evolve(pkt.ip, ttl=params.ttl_floor),
-            payload=junk,
-        ).with_checksums()
-        out.append(chaff)
+        out.append(pkt.with_checksums(
+            {"ttl": params.ttl_floor}, ts=pkt.ts + 1e-5, payload=junk
+        ))
     return out
 
 
@@ -222,18 +213,12 @@ def _tcp_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if pkt.tcp is None or rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, len(pkt.payload) or 8)
-        chaff = evolve(
-            pkt,
-            ts=pkt.ts + 1e-5,
-            ip=evolve(
-                pkt.ip,
-                total_length=pkt.ip.header_length + pkt.tcp.header_length + len(junk),
-            ),
-            payload=junk,
-        ).with_checksums()
-        assert chaff.tcp is not None
-        bad_tcp = evolve(chaff.tcp, checksum=chaff.tcp.checksum ^ 0xFFFF)
-        out.append(evolve(chaff, tcp=bad_tcp))
+        ip_changes = {
+            "total_length": pkt.ip.header_length + pkt.tcp.header_length + len(junk)
+        }
+        out.append(pkt._with_checksums(
+            ip_changes, {}, {"ts": pkt.ts + 1e-5, "payload": junk}, tcp_mask=0xFFFF
+        ))
     return out
 
 
@@ -262,13 +247,12 @@ def _ip_frag(trace: FlowTrace, params: SynthParams, rng: random.Random):
             if params.overlap and j > 0:
                 offset_units -= 1
                 data = _junk(rng, 8) + chunk
-            ip = evolve(
-                pkt.ip,
+            ip = pkt.ip.with_checksum(
                 flag_df=False,
                 flag_mf=j < len(chunks) - 1,
                 frag_offset=offset_units,
                 total_length=pkt.ip.header_length + len(data),
-            ).with_checksum()
+            )
             out.append(
                 PacketRecord(ts=pkt.ts + j * 1e-5, ip=ip, tcp=None, payload=data)
             )
@@ -280,13 +264,11 @@ def _ip_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
     opts = bytes([1, 7, 7, 4, 0, 0, 0, 0])  # NOP, then RR: kind 7, len 7, ptr 4
     out: list[PacketRecord] = []
     for pkt in trace.packets:
-        ip = evolve(
-            pkt.ip,
-            ihl=pkt.ip.ihl + 2,
-            total_length=pkt.ip.total_length + len(opts),
-            options=pkt.ip.options + opts,
-        )
-        out.append(evolve(pkt, ip=ip).with_checksums())
+        out.append(pkt.with_checksums({
+            "ihl": pkt.ip.ihl + 2,
+            "total_length": pkt.ip.total_length + len(opts),
+            "options": pkt.ip.options + opts,
+        }))
     return out
 
 
@@ -295,8 +277,7 @@ def _ip_tos(trace: FlowTrace, params: SynthParams, rng: random.Random):
     values = params.tos_values
     out: list[PacketRecord] = []
     for j, pkt in enumerate(trace.packets):
-        ip = evolve(pkt.ip, tos=values[j % len(values)])
-        out.append(evolve(pkt, ip=ip).with_checksums())
+        out.append(pkt.with_checksums({"tos": values[j % len(values)]}))
     return out
 
 
@@ -322,9 +303,10 @@ def _tcp_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
             out.append(pkt)
             continue
         opt_len = sum(o.size for o in options)
-        tcp = evolve(pkt.tcp, data_offset=5 + opt_len // 4, options=options)
-        ip = evolve(pkt.ip, total_length=pkt.ip.total_length + opt_len)
-        out.append(evolve(pkt, ip=ip, tcp=tcp).with_checksums())
+        out.append(pkt.with_checksums(
+            {"total_length": pkt.ip.total_length + opt_len},
+            {"data_offset": 5 + opt_len // 4, "options": options},
+        ))
     return out
 
 
@@ -345,41 +327,20 @@ def _tcp_seg(trace: FlowTrace, params: SynthParams, rng: random.Random):
             pkt.payload[i : i + params.seg_bytes]
             for i in range(0, len(pkt.payload), params.seg_bytes)
         ]
-        emitted = 0
+        headers_length = pkt.ip.header_length + pkt.tcp.header_length
+        pieces = []  # (seq, payload) in emission order
         for j, chunk in enumerate(chunks):
-            seq_j = (pkt.tcp.seq + j * params.seg_bytes) & 0xFFFFFFFF
+            seq_j = pkt.tcp.seq + j * params.seg_bytes
             if params.overlap and j > 0:
-                junk = _junk(rng, params.seg_bytes)
-                resend = evolve(
-                    pkt,
-                    ts=pkt.ts + emitted * 1e-4,
-                    ip=evolve(
-                        pkt.ip,
-                        total_length=pkt.ip.header_length
-                        + pkt.tcp.header_length
-                        + len(junk),
-                    ),
-                    tcp=evolve(
-                        pkt.tcp, seq=(seq_j - params.seg_bytes) & 0xFFFFFFFF
-                    ),
-                    payload=junk,
-                ).with_checksums()
-                out.append(resend)
-                emitted += 1
-            seg = evolve(
-                pkt,
+                pieces.append((seq_j - params.seg_bytes, _junk(rng, params.seg_bytes)))
+            pieces.append((seq_j, chunk))
+        for emitted, (seq, payload) in enumerate(pieces):
+            out.append(pkt.with_checksums(
+                {"total_length": headers_length + len(payload)},
+                {"seq": seq & 0xFFFFFFFF},
                 ts=pkt.ts + emitted * 1e-4,
-                ip=evolve(
-                    pkt.ip,
-                    total_length=pkt.ip.header_length
-                    + pkt.tcp.header_length
-                    + len(chunk),
-                ),
-                tcp=evolve(pkt.tcp, seq=seq_j),
-                payload=chunk,
-            ).with_checksums()
-            out.append(seg)
-            emitted += 1
+                payload=payload,
+            ))
     return out
 
 

@@ -321,6 +321,14 @@ def test_gradcheck_reports_pass(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_gradcheck_passes_correct_gradients(seed, capsys):
+    # central-difference round-off on entries near 1e-8 once read as a
+    # FAIL here, at seeds 2, 4, 5 and 6 among others
+    assert main(["gradcheck", "--seed", str(seed)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep",

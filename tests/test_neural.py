@@ -44,7 +44,7 @@ def scalar_cell(b_i, b_f, b_g, b_o):
 
 
 def step(p, h, c, x=0.0):
-    h_out, c_out, _ = lstm_cell_forward(
+    h_out, c_out = lstm_cell_forward(
         np.array([x]), np.array([h]), np.array([c]), p
     )
     return float(h_out[0]), float(c_out[0])
@@ -97,9 +97,9 @@ def test_cell_batches_match_single_calls():
     x = rng.normal(size=(4, 2))
     h0 = rng.normal(size=(4, 3))
     c0 = rng.normal(size=(4, 3))
-    h_b, c_b, _ = lstm_cell_forward(x, h0, c0, p)
+    h_b, c_b = lstm_cell_forward(x, h0, c0, p)
     for k in range(4):
-        h_s, c_s, _ = lstm_cell_forward(x[k], h0[k], c0[k], p)
+        h_s, c_s = lstm_cell_forward(x[k], h0[k], c0[k], p)
         assert np.allclose(h_b[k], h_s, atol=1e-14)
         assert np.allclose(c_b[k], c_s, atol=1e-14)
 
@@ -188,7 +188,7 @@ def reference_logits(model, x, mask):
                 c = np.zeros(cfg.hidden)
                 hs = np.empty((t_len, cfg.hidden))
                 for k, t in enumerate(order):
-                    h_new, c_new, _ = lstm_cell_forward(seq[t], h, c, cell)
+                    h_new, c_new = lstm_cell_forward(seq[t], h, c, cell)
                     if k < n:
                         h, c = h_new, c_new
                     hs[t] = h
@@ -235,9 +235,8 @@ def test_gradients_on_ragged_batch(config, dropout):
         )
     analytic = model.backward(model.forward(x, mask)[1], labels)
     numeric = central_differences(model, x, mask, labels)
-    # Central-difference round-off here is about 1e-10. grad_check divides
-    # by max(|entry|, 1e-8), so on entries of 1e-8 to 1e-6 that round-off
-    # alone reads up to 1e-3; bound every entry by the largest one instead.
+    # Central-difference round-off here is about 1e-10; bound every entry's
+    # error by the largest entry, far tighter than grad_check's 1e-4.
     assert np.max(np.abs(analytic - numeric)) < 1e-6 * np.max(np.abs(numeric))
 
 
@@ -259,7 +258,7 @@ def test_saturated_gates_stay_finite():
     assert np.all(np.isfinite(logits))
     assert np.all(np.isfinite(model.backward(tape, np.array([0, 1]))))
     p = LstmCellParams(w_x=np.zeros((8, 1)), w_h=np.zeros((8, 2)), b=np.tile([-1000.0, 1000.0], 4))
-    h, c, _ = lstm_cell_forward(np.ones(1), np.ones(2), np.ones(2), p)
+    h, c = lstm_cell_forward(np.ones(1), np.ones(2), np.ones(2), p)
     assert np.all(np.isfinite(h)) and np.all(np.isfinite(c))
 
 
@@ -397,6 +396,55 @@ def test_gradients_mean_readout_unidirectional():
     mask[1, 2] = 0.0
     labels = np.array([1, 0])
     assert grad_check(model, x, mask, labels) < 1e-4
+
+
+def grad_check_case():
+    """A small model and batch whose second input feature is always 0, so
+    the gradient of every w_x entry in that column is exactly 0."""
+    config = ModelConfig(hidden=3, input_dim=2, classes=2, frame=3, layers=1)
+    model = BiLstmModel.initialize(config, seed=11)
+    x = np.random.default_rng(12).normal(size=(2, 3, 2))
+    x[..., 1] = 0.0
+    return model, x, np.ones((2, 3)), np.array([1, 0])
+
+
+def move_one_entry(model, move):
+    """Make ``model.backward`` return its gradient after ``move(grads)``."""
+    backward = model.backward
+
+    def moved(tape, labels):
+        grads = backward(tape, labels)
+        move(grads)
+        return grads
+
+    model.backward = moved
+
+
+def test_grad_check_flags_an_entry_off_by_1e3_relative():
+    model, x, mask, labels = grad_check_case()
+    assert grad_check(model, x, mask, labels) < 1e-4
+
+    def move(grads):
+        grads[np.argmax(np.abs(grads))] *= 1 + 1e-3
+
+    move_one_entry(model, move)
+    assert grad_check(model, x, mask, labels) > 1e-4
+
+
+@pytest.mark.parametrize("floors, fails", [(4.0, True), (0.5, False)])
+def test_grad_check_compares_a_tiny_entry_with_the_roundoff_floor(floors, fails):
+    model, x, mask, labels = grad_check_case()
+    loss = softmax_xent(model.forward(x, mask)[0], labels)[0]
+    floor = 64 * np.finfo(np.float64).eps * loss / 1e-5  # at grad_check's default eps
+    analytic = model.backward(model.forward(x, mask)[1], labels)
+    tiny = int(np.argmin(np.abs(analytic)))
+    assert analytic[tiny] == 0.0
+
+    def move(grads):
+        grads[tiny] += floors * floor
+
+    move_one_entry(model, move)
+    assert (grad_check(model, x, mask, labels) > 1e-4) == fails
 
 
 def test_tape_single_use():

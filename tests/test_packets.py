@@ -333,6 +333,26 @@ def test_evolve_matches_replace_on_packets(pkt, ip_changes, tcp_changes, payload
     assert_same_copy(pkt, changes)
 
 
+@given(random_packets(), IP_CHANGES, TCP_CHANGES,
+       st.one_of(st.none(), st.binary(max_size=300)), st.floats(0, 2e9))
+def test_with_checksums_applies_changes_in_one_copy(pkt, ip_changes, tcp_changes, payload, ts):
+    changes = {"ts": ts}
+    if payload is not None:
+        changes["payload"] = payload
+        ip_changes = {**ip_changes,
+                      "total_length": pkt.ip.total_length - len(pkt.payload) + len(payload)}
+    before = (pkt.encode(), hash(pkt))
+    ours = pkt.with_checksums(ip_changes, tcp_changes, **changes)
+    theirs = evolve(pkt, ip=evolve(pkt.ip, **ip_changes),
+                    tcp=evolve(pkt.tcp, **tcp_changes), **changes).with_checksums()
+    assert ours == theirs and ours.encode() == theirs.encode()
+    assert ours.ip.checksum_valid() and ours.tcp_checksum_valid()
+    assert pkt.ip.with_checksum(**ip_changes) == theirs.ip
+    assert (pkt.encode(), hash(pkt)) == before
+    # an unchanged TCP header whose checksum still holds is shared, not copied
+    assert (ours.tcp is pkt.tcp) == (not tcp_changes and pkt.tcp == ours.tcp)
+
+
 def test_evolve_leaves_the_original_unchanged():
     pkt = make_packet(1000, b"hello")
     before = pkt.encode()

@@ -4,6 +4,7 @@ The central invariant is that every transform fools only a naive
 observer: a strict endpoint reassembles exactly the clean payload.
 """
 
+import collections
 import hashlib
 import io
 
@@ -12,6 +13,7 @@ import pytest
 
 from evasionlab.errors import EmptyPayloadError
 from evasionlab.features import feature_matrix
+from evasionlab.packets import FlowTrace, Ipv4Header, PacketRecord, TcpHeader, evolve
 from evasionlab.pcapio import write_pcap
 from evasionlab.receiver import normalize_receive
 from evasionlab.synth import (
@@ -267,12 +269,75 @@ def test_transform_drop_accounting():
     assert normalize_receive(frag).fragments_reassembled == 4
 
 
+def with_wrong_checksums(trace):
+    """The trace with every IP and TCP checksum off by one bit."""
+    return FlowTrace(key=trace.key, packets=[
+        evolve(p, ip=evolve(p.ip, checksum=p.ip.checksum ^ 1),
+               tcp=evolve(p.tcp, checksum=p.tcp.checksum ^ 1))
+        for p in trace.packets
+    ])
+
+
+def header_state(pkt):
+    return [(dict(vars(part)), hash(part), part.encode()) for part in (pkt, pkt.ip, pkt.tcp)]
+
+
 def test_transform_does_not_mutate_input():
-    trace = clean()
-    before = [p.encode() for p in trace.packets]
+    # Checksums are written into fresh copies only, and always recomputed:
+    # an input carrying wrong checksums comes out valid where rewritten.
+    trace = with_wrong_checksums(clean())
+    before = [header_state(p) for p in trace.packets]
     for label in ALL_LABELS:
-        apply_evasion(trace, label, params())
-    assert [p.encode() for p in trace.packets] == before
+        for overlap in (False, True):
+            out = apply_evasion(trace, label, params(overlap=overlap))
+            rewritten = [p for p in out.packets if not any(p is q for q in trace.packets)]
+            assert rewritten
+            for pkt in rewritten:
+                valid_ip = pkt.ip.with_checksum().checksum
+                if label is EvasionLabel.IP_CHAFF:
+                    assert pkt.ip.checksum == valid_ip ^ 0xFFFF
+                else:
+                    assert pkt.ip.checksum == valid_ip
+                if pkt.tcp is None:
+                    continue
+                valid_tcp = pkt.with_checksums().tcp.checksum
+                if label is EvasionLabel.TCP_CHAFF:
+                    assert pkt.tcp.checksum == valid_tcp ^ 0xFFFF
+                else:
+                    assert pkt.tcp.checksum == valid_tcp
+    assert [header_state(p) for p in trace.packets] == before
+
+
+def count_builds(monkeypatch):
+    """Count the headers and records built from here on, by class name."""
+    counts = collections.Counter()
+    for cls in (Ipv4Header, TcpHeader, PacketRecord):
+        def counting(self, _validate=cls.__post_init__):
+            counts[type(self).__name__] += 1
+            _validate(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
+
+
+def test_clean_flow_builds_each_header_once(monkeypatch):
+    counts = count_builds(monkeypatch)
+    trace = clean(n=6)
+    assert counts == {"Ipv4Header": 6, "TcpHeader": 6, "PacketRecord": 6}
+    assert all(p.ip.checksum_valid() and p.tcp_checksum_valid() for p in trace.packets)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS, ids=lambda label: label.tag)
+def test_transform_builds_one_copy_per_rewritten_header(monkeypatch, label):
+    trace = clean()
+    counts = count_builds(monkeypatch)
+    for overlap in (False, True):
+        counts.clear()
+        out = apply_evasion(trace, label, params(overlap=overlap))
+        rewritten = sum(not any(p is q for q in trace.packets) for p in out.packets)
+        assert counts["PacketRecord"] == rewritten
+        assert counts["Ipv4Header"] <= rewritten
+        assert counts["TcpHeader"] <= rewritten
 
 
 def test_payload_transforms_need_data():
