@@ -30,6 +30,7 @@ from .dataset import (
 )
 from .errors import (
     BadMagicError,
+    CheckpointFormatError,
     DatasetFormatError,
     DimMismatchError,
     DivergenceError,
@@ -42,7 +43,14 @@ from .errors import (
     TraceTooShortError,
     TruncatedFileError,
 )
-from .features import FRAME_MAX, FRAME_MIN, FeatureSequence, feature_matrix, window_matrix
+from .features import (
+    FRAME_MAX,
+    FRAME_MIN,
+    FeatureSequence,
+    extract_sequences,
+    feature_matrix,
+    window_matrix,
+)
 from .metrics import auc_trapezoid
 from .neural import (
     READOUT_FINAL,
@@ -192,7 +200,6 @@ def cmd_synth(args) -> int:
         n_packets_range=(args.min_packets, args.max_packets),
         payload_len_range=(args.min_payload, args.max_payload),
         include_clean=args.include_clean,
-        workers=args.workers,
     )
     samples = _windows_from_corpus(corpus, args.frame)
     class_count = 9 if args.include_clean else 8
@@ -230,10 +237,7 @@ def cmd_extract(args) -> int:
     skipped = 0
     for flow in flows:
         try:
-            samples.extend(
-                FeatureSequence(rows=w, label=args.label)
-                for w in window_matrix(feature_matrix(flow), args.frame)
-            )
+            samples.extend(extract_sequences(flow, args.frame, args.label))
         except TraceTooShortError:
             skipped += 1
     if not samples:
@@ -355,12 +359,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     params = _synth_params(args)
-    corpus = build_labeled_corpus(
-        args.flows_per_class,
-        params,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    corpus = build_labeled_corpus(args.flows_per_class, params, seed=args.seed)
     base = TrainConfig(
         model=ModelConfig(
             hidden=args.hidden, classes=8, frame=5, layers=args.layers
@@ -408,9 +407,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     params = _synth_params(args)
-    corpus = build_labeled_corpus(
-        args.flows_per_class, params, seed=args.seed, workers=args.workers
-    )
+    corpus = build_labeled_corpus(args.flows_per_class, params, seed=args.seed)
     samples = _windows_from_corpus(corpus, args.frame)
     train_set, _ = split(samples, args.split_seed, 0.8)
     base = TrainConfig(
@@ -478,7 +475,6 @@ def _add_synth_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ttl-floor", type=int, default=1)
     sub.add_argument("--tos-values", type=_int_list, default=[16, 24, 17, 8])
     sub.add_argument("--overlap", action="store_true")
-    sub.add_argument("--workers", type=int, default=os.cpu_count())
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
@@ -600,6 +596,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
 _DATA_ERRORS = (
     BadMagicError,
+    CheckpointFormatError,
     TruncatedFileError,
     DatasetFormatError,
     DimMismatchError,

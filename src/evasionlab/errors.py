@@ -47,6 +47,10 @@ class TapeReuseError(EvasionLabError):
     """A forward tape was consumed by backward() more than once."""
 
 
+class CheckpointFormatError(EvasionLabError):
+    """Model checkpoint header is invalid or disagrees with its parameter count."""
+
+
 # -- optimizers ----------------------------------------------------------------
 
 class KindMismatchError(EvasionLabError):

@@ -1,13 +1,15 @@
 """From-scratch bidirectional LSTM classifier with exact backpropagation.
 
-Everything is plain numpy. Parameters live in small structured objects but
-flatten to one contiguous float64 vector (documented order below) so the
-optimizers, the gradient checker and the checkpoint writer all speak the
-same language.
+Everything is plain numpy. A model owns one contiguous float64 vector,
+``params``; its cell tensors and head are views into it (documented order
+below), so the optimizers, the gradient checker and the checkpoint writer
+all read and write that one vector. backward() returns a gradient vector
+of the same layout, filled through views of its own.
 
 Flatten order: for each layer, forward cell then backward cell (when
 bidirectional), each cell as w_x, w_h, b row-major; then head weight, head
-bias. Gate blocks inside the 4H axis are ordered i, f, g, o.
+bias. Gate blocks inside the 4H axis are ordered i, f, g, o. _param_shapes
+is the only place this order is written.
 
 Sequence handling: batches are (B, T, D) with a 0/1 mask (B, T) marking
 real steps; padding is always at the tail. Masked steps carry the previous
@@ -31,13 +33,15 @@ the same (T, B, 4H) layout.
 from __future__ import annotations
 
 import io
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BadMagicError,
+    CheckpointFormatError,
     EmptySequenceError,
     ShapeMismatchError,
     TapeReuseError,
@@ -47,6 +51,9 @@ from .features import FeatureScaler
 
 CHECKPOINT_MAGIC = b"BLSM"
 CHECKPOINT_VERSION = 1
+# magic, version, input_dim, hidden, classes, frame, layers, bidirectional,
+# readout code, scaler flag
+_HEADER = struct.Struct("<4sHHHHHHBBB")
 
 READOUT_FINAL = "final"
 READOUT_MEAN = "mean"
@@ -92,17 +99,43 @@ class LstmCellParams:
         return self.w_h.shape[1]
 
 
-def _xavier(rng: np.random.Generator, shape: tuple[int, int], fan_in: int, fan_out: int):
+def _param_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
+    """Shape of every parameter tensor, in flatten order."""
+    h = config.hidden
+    shapes: list[tuple[int, ...]] = []
+    d_in = config.input_dim
+    for _ in range(config.layers):
+        shapes += [(4 * h, d_in), (4 * h, h), (4 * h,)] * config.directions
+        d_in = config.rep_dim
+    return shapes + [(config.classes, config.rep_dim), (config.classes,)]
+
+
+def lstm_param_count(config: ModelConfig) -> int:
+    """Entries in the parameter vector of a model with this config."""
+    return sum(math.prod(shape) for shape in _param_shapes(config))
+
+
+def _unpack(
+    config: ModelConfig, flat: np.ndarray
+) -> tuple[list[list[LstmCellParams]], np.ndarray, np.ndarray]:
+    """(layers, head_w, head_b) as views into flat, in flatten order."""
+    views = []
+    pos = 0
+    for shape in _param_shapes(config):
+        size = math.prod(shape)
+        views.append(flat[pos : pos + size].reshape(shape))
+        pos += size
+    it = iter(views)
+    layers = [
+        [LstmCellParams(next(it), next(it), next(it)) for _ in range(config.directions)]
+        for _ in range(config.layers)
+    ]
+    return layers, next(it), next(it)
+
+
+def _xavier(rng: np.random.Generator, out: np.ndarray, fan_in: int, fan_out: int) -> None:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def _init_cell(rng: np.random.Generator, d: int, h: int) -> LstmCellParams:
-    w_x = _xavier(rng, (4 * h, d), d, h)
-    w_h = _xavier(rng, (4 * h, h), h, h)
-    b = np.zeros(4 * h)
-    b[h : 2 * h] = 1.0  # forget-gate bias starts open
-    return LstmCellParams(w_x=w_x, w_h=w_h, b=b)
+    out[...] = rng.uniform(-limit, limit, size=out.shape)
 
 
 def _gate_constants(h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,61 +241,44 @@ class BiLstmModel:
     def __init__(
         self,
         config: ModelConfig,
-        layers: list[list[LstmCellParams]],
-        head_w: np.ndarray,
-        head_b: np.ndarray,
+        params: np.ndarray,
         scaler: FeatureScaler | None = None,
     ):
+        """Wrap params (float64, lstm_param_count(config) entries) without
+        copying it; layers ([layer][direction]) and head_* are views into it."""
         self.config = config
-        self.layers = layers  # [layer][direction]
-        self.head_w = head_w
-        self.head_b = head_b
+        self.params = params
+        self.layers, self.head_w, self.head_b = _unpack(config, params)
         self.scaler = scaler
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int) -> "BiLstmModel":
         rng = np.random.default_rng(seed)
         h = config.hidden
-        layers: list[list[LstmCellParams]] = []
-        d_in = config.input_dim
-        for _ in range(config.layers):
-            cells = [_init_cell(rng, d_in, h)]
-            if config.bidirectional:
-                cells.append(_init_cell(rng, d_in, h))
-            layers.append(cells)
-            d_in = config.rep_dim
-        head_w = _xavier(
-            rng, (config.classes, config.rep_dim), config.rep_dim, config.classes
-        )
-        head_b = np.zeros(config.classes)
-        return cls(config, layers, head_w, head_b)
+        model = cls(config, np.zeros(lstm_param_count(config)))
+        for cells in model.layers:
+            for cell in cells:
+                _xavier(rng, cell.w_x, cell.w_x.shape[1], h)
+                _xavier(rng, cell.w_h, h, h)
+                cell.b[h : 2 * h] = 1.0  # forget-gate bias starts open
+        _xavier(rng, model.head_w, config.rep_dim, config.classes)
+        return model
 
     # -- parameter vector plumbing ------------------------------------------
 
-    def _tensors(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for cells in self.layers:
-            for cell in cells:
-                out += [cell.w_x, cell.w_h, cell.b]
-        out += [self.head_w, self.head_b]
-        return out
-
     @property
     def n_params(self) -> int:
-        return sum(t.size for t in self._tensors())
+        return self.params.size
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([t.ravel() for t in self._tensors()])
+        return self.params.copy()
 
     def load_flat(self, vec: np.ndarray) -> None:
         if vec.size != self.n_params:
             raise ShapeMismatchError(
                 f"flat vector has {vec.size} entries, model needs {self.n_params}"
             )
-        pos = 0
-        for t in self._tensors():
-            t[...] = vec[pos : pos + t.size].reshape(t.shape)
-            pos += t.size
+        self.params[:] = vec
 
     # -- forward ------------------------------------------------------------
 
@@ -385,18 +401,20 @@ class BiLstmModel:
         cache: _DirectionCache,
         z: np.ndarray,
         cell: LstmCellParams,
+        grad: LstmCellParams,
         d_h: np.ndarray,
         rows: np.ndarray | None,
         need_dz: bool,
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dz, dw_x, dw_h, db) for one direction scan.
+    ) -> np.ndarray | None:
+        """Backpropagate one direction scan: writes the cell's gradients
+        into grad and returns dz (input order), or None unless need_dz.
 
         d_h is the upstream gradient of each step's h, time-major in scan
         order. It is zero on padded steps: a padded step only copies the
         state, so with nothing arriving from above or from later steps it
         passes nothing back, and the scan needs no mask. z is the layer input
         in input step order; rows, when given, is the reversal between the
-        two orders. dz (input order) is None unless need_dz.
+        two orders.
         """
         gates, c, tanh_c = cache.gates, cache.c, cache.tanh_c
         t_len, b_sz, h4 = gates.shape
@@ -434,18 +452,16 @@ class BiLstmModel:
 
         flat_a = d_a.reshape(-1, h4)
         z_scan = z if rows is None else _gather_rows(z, rows)
-        dw_x = flat_a.T @ z_scan.reshape(-1, z.shape[2])
-        dw_h = d_a[1:].reshape(-1, h4).T @ cache.h[:-1].reshape(-1, h)
-        db = flat_a.sum(axis=0)
-        dz = None
-        if need_dz:
-            dz = (flat_a @ cell.w_x).reshape(z.shape)
-            if rows is not None:
-                dz = _gather_rows(dz, rows)  # back to input step order
-        return dz, dw_x, dw_h, db
+        np.matmul(flat_a.T, z_scan.reshape(-1, z.shape[2]), out=grad.w_x)
+        np.matmul(d_a[1:].reshape(-1, h4).T, cache.h[:-1].reshape(-1, h), out=grad.w_h)
+        flat_a.sum(axis=0, out=grad.b)
+        if not need_dz:
+            return None
+        dz = (flat_a @ cell.w_x).reshape(z.shape)
+        return dz if rows is None else _gather_rows(dz, rows)  # back to input step order
 
     def backward(self, tape: ForwardTape, labels: np.ndarray) -> np.ndarray:
-        """Gradient of mean cross-entropy over the batch, flattened."""
+        """Gradient of mean cross-entropy over the batch, in flatten order."""
         if tape.consumed:
             raise TapeReuseError("forward tape already consumed by a backward pass")
         tape.consumed = True
@@ -460,17 +476,16 @@ class BiLstmModel:
         d_logits[np.arange(b_sz), labels] -= 1.0
         d_logits /= b_sz
 
-        d_head_w = d_logits.T @ tape.rep
-        d_head_b = d_logits.sum(axis=0)
+        grads = np.empty(self.params.size)
+        grad_layers, grad_head_w, grad_head_b = _unpack(cfg, grads)
+        np.matmul(d_logits.T, tape.rep, out=grad_head_w)
+        d_logits.sum(axis=0, out=grad_head_b)
         d_rep = d_logits @ self.head_w
         if tape.rep_mask is not None:
             d_rep = d_rep * tape.rep_mask
 
         h = cfg.hidden
         t_len = tape.x.shape[1]
-        grads_per_layer: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [
-            [] for _ in self.layers
-        ]
 
         # Per-step upstream gradient for the top layer's concatenated output.
         if cfg.readout == READOUT_FINAL:
@@ -485,27 +500,21 @@ class BiLstmModel:
 
         for li in range(len(self.layers) - 1, -1, -1):
             d_in: np.ndarray | None = None
-            for di, (cell, cache) in enumerate(zip(self.layers[li], tape.caches[li])):
+            cells = zip(self.layers[li], tape.caches[li], grad_layers[li])
+            for di, (cell, cache, grad) in enumerate(cells):
                 rows = tape.reversal if di else None
                 d_h = d_out[..., di * h : (di + 1) * h]
-                dz, dw_x, dw_h, db = self._direction_backward(
-                    cache, tape.layer_inputs[li], cell,
+                dz = self._direction_backward(
+                    cache, tape.layer_inputs[li], cell, grad,
                     d_h if rows is None else _gather_rows(d_h, rows), rows,
                     need_dz=li > 0,
                 )
-                grads_per_layer[li].append((dw_x, dw_h, db))
                 if dz is not None:
                     d_in = dz if d_in is None else d_in + dz
             if li > 0:
                 dmask = tape.dropout_masks[li - 1]
                 d_out = d_in if dmask is None else d_in * dmask
-
-        flat_parts: list[np.ndarray] = []
-        for layer_grads in grads_per_layer:
-            for dw_x, dw_h, db in layer_grads:
-                flat_parts += [dw_x.ravel(), dw_h.ravel(), db.ravel()]
-        flat_parts += [d_head_w.ravel(), d_head_b.ravel()]
-        return np.concatenate(flat_parts)
+        return grads
 
     # -- inference ----------------------------------------------------------
 
@@ -565,21 +574,18 @@ def grad_check(
     logits, tape = model.forward(x, mask)
     loss, _ = softmax_xent(logits, labels)
     analytic = model.backward(tape, labels)
-    theta = model.flatten()
+    theta = model.params
     numeric = np.empty_like(theta)
     for idx in range(theta.size):
-        for sign, slot in ((+1.0, 0), (-1.0, 1)):
-            bumped = theta.copy()
-            bumped[idx] += sign * eps
-            model.load_flat(bumped)
-            logits, _ = model.forward(x, mask)
-            loss, _ = softmax_xent(logits, labels)
-            if slot == 0:
-                up = loss
-            else:
-                down = loss
-        numeric[idx] = (up - down) / (2.0 * eps)
-    model.load_flat(theta)
+        saved = theta[idx]
+        bumped_losses = []
+        try:
+            for step in (eps, -eps):
+                theta[idx] = saved + step
+                bumped_losses.append(softmax_xent(model.forward(x, mask)[0], labels)[0])
+        finally:
+            theta[idx] = saved
+        numeric[idx] = (bumped_losses[0] - bumped_losses[1]) / (2.0 * eps)
     floor = 64 * np.finfo(np.float64).eps * abs(loss) / eps
     scale = np.maximum(np.abs(analytic), np.abs(numeric)) + floor / 1e-4
     return float(np.max(np.abs(analytic - numeric) / scale))
@@ -591,11 +597,10 @@ def grad_check(
 def save_model(model: BiLstmModel, path: str) -> None:
     cfg = model.config
     buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<H", CHECKPOINT_VERSION))
     buf.write(
-        struct.pack(
-            "<HHHHHBB",
+        _HEADER.pack(
+            CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION,
             cfg.input_dim,
             cfg.hidden,
             cfg.classes,
@@ -603,17 +608,14 @@ def save_model(model: BiLstmModel, path: str) -> None:
             cfg.layers,
             1 if cfg.bidirectional else 0,
             0 if cfg.readout == READOUT_FINAL else 1,
+            0 if model.scaler is None else 1,
         )
     )
     if model.scaler is not None:
-        buf.write(struct.pack("<B", 1))
         buf.write(np.ascontiguousarray(model.scaler.shift, dtype="<f8").tobytes())
         buf.write(np.ascontiguousarray(model.scaler.scale, dtype="<f8").tobytes())
-    else:
-        buf.write(struct.pack("<B", 0))
-    flat = model.flatten()
-    buf.write(struct.pack("<Q", flat.size))
-    buf.write(np.ascontiguousarray(flat, dtype="<f8").tobytes())
+    buf.write(struct.pack("<Q", model.params.size))
+    buf.write(np.ascontiguousarray(model.params, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
@@ -623,17 +625,25 @@ def load_model(path: str) -> BiLstmModel:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise BadMagicError(f"not a model checkpoint (magic {data[:4]!r})")
-    pos = 4
-    (version,) = struct.unpack_from("<H", data, pos)
-    pos += 2
+    if len(data) < _HEADER.size:
+        raise TruncatedFileError("checkpoint header truncated")
+    (_, version, input_dim, hidden, classes, frame, layers, bi, readout_code,
+     scaler_flag) = _HEADER.unpack_from(data)
     if version != CHECKPOINT_VERSION:
         raise BadMagicError(f"unsupported checkpoint version {version}")
-    input_dim, hidden, classes, frame, layers, bi, readout_code = struct.unpack_from(
-        "<HHHHHBB", data, pos
-    )
-    pos += 12
-    (scaler_flag,) = struct.unpack_from("<B", data, pos)
-    pos += 1
+    try:
+        config = ModelConfig(
+            hidden=hidden,
+            input_dim=input_dim,
+            classes=classes,
+            frame=frame,
+            layers=layers,
+            bidirectional=bool(bi),
+            readout=READOUT_FINAL if readout_code == 0 else READOUT_MEAN,
+        )
+    except ValueError as exc:
+        raise CheckpointFormatError(f"checkpoint header: {exc}") from exc
+    pos = _HEADER.size
     scaler = None
     if scaler_flag:
         need = 2 * input_dim * 8
@@ -644,24 +654,19 @@ def load_model(path: str) -> BiLstmModel:
         scale = np.frombuffer(data, dtype="<f8", count=input_dim, offset=pos).copy()
         pos += input_dim * 8
         scaler = FeatureScaler(shift=shift, scale=scale)
+    if pos + 8 > len(data):
+        raise TruncatedFileError("checkpoint parameter count truncated")
     (count,) = struct.unpack_from("<Q", data, pos)
     pos += 8
+    n_params = lstm_param_count(config)
+    if count != n_params:
+        raise CheckpointFormatError(
+            f"checkpoint has {count} parameters, its header needs {n_params}"
+        )
     if pos + count * 8 > len(data):
         raise TruncatedFileError("checkpoint parameter block truncated")
-    flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos).copy()
-    config = ModelConfig(
-        hidden=hidden,
-        input_dim=input_dim,
-        classes=classes,
-        frame=frame,
-        layers=layers,
-        bidirectional=bool(bi),
-        readout=READOUT_FINAL if readout_code == 0 else READOUT_MEAN,
-    )
-    model = BiLstmModel.initialize(config, seed=0)
-    model.scaler = scaler
-    model.load_flat(flat)
-    return model
+    flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
+    return BiLstmModel(config, flat, scaler)
 
 
 __all__ = [
@@ -676,5 +681,6 @@ __all__ = [
     "grad_check",
     "save_model",
     "load_model",
+    "lstm_param_count",
     "CHECKPOINT_MAGIC",
 ]

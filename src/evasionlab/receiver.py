@@ -36,6 +36,20 @@ class ReceiverReport:
     segments_accepted: int = 0
 
 
+def _claim(buf: bytearray, have: bytearray, start: int, data: bytes) -> None:
+    """Write data at start into buf, first arrival wins per byte: a byte
+    already claimed (have[pos] set) keeps its value. Grows both to fit."""
+    end = start + len(data)
+    if end > len(buf):
+        buf.extend(b"\x00" * (end - len(buf)))
+        have.extend(b"\x00" * (end - len(have)))
+    for i, byte in enumerate(data):
+        pos = start + i
+        if not have[pos]:
+            buf[pos] = byte
+            have[pos] = 1
+
+
 def _reassemble_fragments(
     fragments: list[PacketRecord],
 ) -> PacketRecord | None:
@@ -53,17 +67,9 @@ def _reassemble_fragments(
     for _, frag in fragments:
         start = frag.ip.frag_offset * 8
         data = frag.ip_payload()
-        end = start + len(data)
-        if end > len(buf):
-            buf.extend(b"\x00" * (end - len(buf)))
-            have.extend(b"\x00" * (end - len(have)))
-        for i, byte in enumerate(data):
-            pos = start + i
-            if not have[pos]:
-                buf[pos] = byte
-                have[pos] = 1
+        _claim(buf, have, start, data)
         if not frag.ip.flag_mf:
-            total_len = max(total_len or 0, end)
+            total_len = max(total_len or 0, start + len(data))
     if total_len is None or len(buf) < total_len:
         return None
     if not all(have[:total_len]):
@@ -163,15 +169,7 @@ def normalize_receive(trace: FlowTrace, ttl_floor: int = 1) -> ReceiverReport:
             # segment entirely before the ISN: stale chaff, ignore
             report.segments_accepted += 1
             continue
-        end = start + len(pkt.payload)
-        if end > len(stream):
-            stream.extend(b"\x00" * (end - len(stream)))
-            have.extend(b"\x00" * (end - len(have)))
-        for i, byte in enumerate(pkt.payload):
-            pos = start + i
-            if not have[pos]:
-                stream[pos] = byte
-                have[pos] = 1
+        _claim(stream, have, start, pkt.payload)
         report.segments_accepted += 1
 
     if not all(have):

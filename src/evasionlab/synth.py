@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import random
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import EmptyPayloadError
@@ -374,29 +373,6 @@ _SHAPE_SALT = 0x5348_4150
 _SYNTH_SALT = 0x9E37_79B9
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    """One trace to build: everything a worker needs, picklable."""
-
-    label: int  # EvasionLabel code, or CLEAN_LABEL
-    trace_seed: int
-    params: SynthParams
-    n_packets_range: tuple[int, int]
-    payload_len_range: tuple[int, int]
-
-
-def _build_one(spec: CorpusSpec) -> tuple[FlowTrace, int]:
-    shape_rng = random.Random(spec.trace_seed ^ _SHAPE_SALT)
-    n_packets = shape_rng.randint(*spec.n_packets_range)
-    clean = generate_clean_flow(
-        spec.trace_seed, n_packets, spec.payload_len_range
-    )
-    if spec.label == CLEAN_LABEL:
-        return clean, spec.label
-    params = replace(spec.params, seed=spec.trace_seed ^ _SYNTH_SALT)
-    return apply_evasion(clean, EvasionLabel(spec.label), params), spec.label
-
-
 def build_labeled_corpus(
     n_flows_per_class: int,
     params: SynthParams,
@@ -404,36 +380,28 @@ def build_labeled_corpus(
     n_packets_range: tuple[int, int] = (4, 8),
     payload_len_range: tuple[int, int] = (16, 64),
     include_clean: bool = False,
-    workers: int | None = None,
 ) -> list[tuple[FlowTrace, int]]:
     """A balanced labeled corpus, label-major order, reproducible from seed.
 
-    Per-trace seeds derive as seed XOR global index, so traces can be built
-    in parallel without changing the result.
+    Per-trace seeds derive as seed XOR global index, so each trace depends
+    only on its own index.
     """
     if n_flows_per_class < 1:
         raise ValueError("n_flows_per_class must be >= 1")
     labels: list[int] = [int(m) for m in EvasionLabel]
     if include_clean:
         labels.append(CLEAN_LABEL)
-    specs = []
-    g = 0
-    for label in labels:
-        for _ in range(n_flows_per_class):
-            specs.append(
-                CorpusSpec(
-                    label=label,
-                    trace_seed=seed ^ g,
-                    params=params,
-                    n_packets_range=n_packets_range,
-                    payload_len_range=payload_len_range,
-                )
-            )
-            g += 1
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_build_one, specs, chunksize=64))
-    return [_build_one(s) for s in specs]
+    corpus = []
+    for g in range(len(labels) * n_flows_per_class):
+        label = labels[g // n_flows_per_class]
+        trace_seed = seed ^ g
+        n_packets = random.Random(trace_seed ^ _SHAPE_SALT).randint(*n_packets_range)
+        trace = generate_clean_flow(trace_seed, n_packets, payload_len_range)
+        if label != CLEAN_LABEL:
+            synth_params = replace(params, seed=trace_seed ^ _SYNTH_SALT)
+            trace = apply_evasion(trace, EvasionLabel(label), synth_params)
+        corpus.append((trace, label))
+    return corpus
 
 
 __all__ = [

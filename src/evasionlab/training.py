@@ -29,7 +29,14 @@ from .metrics import (
     roc_micro_average,
     roc_one_vs_rest,
 )
-from .neural import BiLstmModel, ModelConfig, save_model, softmax, softmax_xent
+from .neural import (
+    BiLstmModel,
+    ModelConfig,
+    lstm_param_count,
+    save_model,
+    softmax,
+    softmax_xent,
+)
 from .optim import Optimizer, OptimizerConfig
 
 _EPOCH_SEED_STRIDE = 1_000_003
@@ -104,7 +111,7 @@ def train(
                     f"loss became {loss} at epoch {epoch} step {step}"
                 )
             grads = model.backward(tape, labels)
-            model.load_flat(opt.step(model.flatten(), grads))
+            model.load_flat(opt.step(model.params, grads))
             history.append(loss)
             step += 1
     if config.checkpoint_path is not None:
@@ -161,17 +168,6 @@ def evaluate(
         roc_micro=micro,
         wall_time_seconds=time.perf_counter() - start,
     )
-
-
-def lstm_param_count(config: ModelConfig) -> int:
-    total = 0
-    d_in = config.input_dim
-    for _ in range(config.layers):
-        per_cell = 4 * config.hidden * (d_in + config.hidden) + 4 * config.hidden
-        total += per_cell * config.directions
-        d_in = config.rep_dim
-    total += config.classes * config.rep_dim + config.classes
-    return total
 
 
 def matched_uni_hidden(bi_config: ModelConfig) -> int:

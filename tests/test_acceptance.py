@@ -88,9 +88,7 @@ def windows_at(corpus, frame):
 
 @pytest.fixture(scope="module")
 def desk_corpus():
-    return build_labeled_corpus(
-        DESK_FLOWS, SynthParams(), seed=DESK_SEED, workers=1
-    )
+    return build_labeled_corpus(DESK_FLOWS, SynthParams(), seed=DESK_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -293,7 +291,7 @@ def test_c08_batch_timing(desk_split, verdict):
 def test_c09_determinism(tmp_path, verdict):
     paths = (tmp_path / "a.neds", tmp_path / "b.neds")
     for path in paths:
-        corpus = build_labeled_corpus(20, SynthParams(), seed=5, workers=1)
+        corpus = build_labeled_corpus(20, SynthParams(), seed=5)
         write_dataset(windows_at(corpus, 5), path, class_count=8)
     synth_ok = paths[0].read_bytes() == paths[1].read_bytes()
 

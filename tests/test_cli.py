@@ -14,7 +14,7 @@ from evasionlab.dataset import read_dataset
 from evasionlab.pcapio import write_pcap
 from evasionlab.synth import EvasionLabel
 
-from helpers import handshake_trace
+from helpers import handshake_trace, make_packet
 
 
 @pytest.fixture(autouse=True)
@@ -29,7 +29,6 @@ def synth_args(out, **overrides):
         "--flows-per-class", "3",
         "--min-packets", "4",
         "--max-packets", "6",
-        "--workers", "1",
         "--out", str(out),
     ]
     for flag, value in overrides.items():
@@ -175,6 +174,20 @@ def test_extract_accepts_clean_label_name(tmp_path):
     assert all(s.label == 8 for s in samples)
 
 
+def test_extract_counts_too_short_flows(tmp_path, capsys):
+    cap = tmp_path / "mixed.pcap"
+    long_flow = handshake_trace([b"A" * 32] * 7)
+    short_flow = [make_packet(5000, b"", syn=True, sport=40001),
+                  make_packet(5001, b"B" * 32, ts=0.01, sport=40001)]
+    buf = io.BytesIO()
+    write_pcap(buf, long_flow.packets + short_flow)
+    cap.write_bytes(buf.getvalue())
+    rc = main(["extract", "--pcap", str(cap), "--label", "clean",
+               "--out", str(tmp_path / "mixed.neds")])
+    assert rc == 0
+    assert "2 flows, 1 too short" in capsys.readouterr().out
+
+
 # -- train and eval --------------------------------------------------------
 
 
@@ -253,6 +266,17 @@ def test_eval_class_count_mismatch(small_dataset, tmp_path, capsys):
     assert "classes" in capsys.readouterr().err
 
 
+def test_eval_bad_checkpoint_is_data_error(small_dataset, tmp_path, capsys):
+    model_path = tmp_path / "model.blsm"
+    assert main(train_args(small_dataset, model_path)) == 0
+    raw = bytearray(model_path.read_bytes())
+    raw[8] += 1  # hidden size no longer matches the parameter count
+    model_path.write_bytes(bytes(raw))
+    rc = main(["eval", "--model", str(model_path), "--data", str(small_dataset)])
+    assert rc == 2
+    assert "parameters" in capsys.readouterr().err
+
+
 # -- configuration files ---------------------------------------------------
 
 
@@ -260,7 +284,7 @@ def test_config_file_applied(tmp_path):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("# fixed run\nseed = 31\nflows-per-class = 2\n")
     via_cfg = tmp_path / "cfg.neds"
-    rc = main(["synth", "--config", str(cfg), "--workers", "1",
+    rc = main(["synth", "--config", str(cfg),
                "--min-packets", "4", "--max-packets", "6",
                "--out", str(via_cfg)])
     assert rc == 0
@@ -301,7 +325,7 @@ def test_config_from_environment(tmp_path, monkeypatch):
     cfg.write_text("seed = 31\nflows-per-class = 2\n")
     monkeypatch.setenv("EVASIONLAB_CONFIG", str(cfg))
     via_env = tmp_path / "env.neds"
-    rc = main(["synth", "--workers", "1",
+    rc = main(["synth",
                "--min-packets", "4", "--max-packets", "6",
                "--out", str(via_env)])
     assert rc == 0
@@ -333,7 +357,6 @@ def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep",
                "--flows-per-class", "3",
-               "--workers", "1",
                "--frames", "3",
                "--epochs", "1",
                "--hidden", "8",
@@ -350,7 +373,6 @@ def test_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench",
                "--flows-per-class", "3",
-               "--workers", "1",
                "--batch-sizes", "8,32",
                "--hidden", "8",
                "--out", str(out)])

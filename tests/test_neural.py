@@ -6,14 +6,21 @@ known value, so a permuted implementation produces different numbers.
 """
 
 import functools
+import hashlib
 import math
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evasionlab.errors import (
     BadMagicError,
+    CheckpointFormatError,
     EmptySequenceError,
+    EvasionLabError,
     ShapeMismatchError,
     TapeReuseError,
     TruncatedFileError,
@@ -381,7 +388,9 @@ def test_gradients_match_finite_differences():
     x[1, :2] = rng.normal(size=(2, 3))
     mask[1, :2] = 1.0
     labels = np.array([0, 2])
+    before = model.flatten()
     assert grad_check(model, x, mask, labels) < 1e-4
+    assert np.array_equal(model.params, before)  # every bumped entry restored
 
 
 def test_gradients_mean_readout_unidirectional():
@@ -463,6 +472,34 @@ def test_backward_label_shape_rejected():
     _, tape = model.forward(np.ones((2, 3, 3)), np.ones((2, 3)))
     with pytest.raises(ShapeMismatchError):
         model.backward(tape, np.array([1]))
+
+
+def model_tensors(model):
+    return [t for cells in model.layers for cell in cells
+            for t in (cell.w_x, cell.w_h, cell.b)] + [model.head_w, model.head_b]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_tensors_are_views_of_params(config, tmp_path):
+    model = BiLstmModel.initialize(config, seed=1)
+    save_model(model, str(tmp_path / "m.blsm"))
+    for m in (model, load_model(str(tmp_path / "m.blsm"))):
+        tensors = model_tensors(m)
+        assert all(np.shares_memory(t, m.params) for t in tensors)
+        assert sum(t.size for t in tensors) == m.params.size == m.n_params
+
+
+def test_initialize_and_checkpoint_bytes_are_pinned(tmp_path):
+    """Guards the initializer's draw order and the checkpoint format."""
+    model = BiLstmModel.initialize(ModelConfig(hidden=64), seed=1)
+    assert hashlib.sha256(model.flatten().tobytes()).hexdigest() == (
+        "9ffe32a99a11ed310db4e47525a5eecc95307b3c2f60f5f67bbcd00414382513"
+    )
+    path = tmp_path / "m.blsm"
+    save_model(model, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "89ed0380350bba3e9f1b9a6a26b84460807be661adc9b16436422ee90257ad1e"
+    )
 
 
 def test_flatten_load_flat_round_trip():
@@ -557,6 +594,62 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(BadMagicError):
         load_model(str(path))
+
+
+def checkpoint_bytes(scaler=False):
+    config = ModelConfig(hidden=3, input_dim=4, classes=3, frame=3)
+    model = BiLstmModel.initialize(config, seed=17)
+    if scaler:
+        model.scaler = FeatureScaler(shift=np.zeros(4), scale=np.ones(4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.blsm"
+        save_model(model, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def patched(raw, fmt, offset, value):
+    raw = bytearray(raw)
+    struct.pack_into(fmt, raw, offset, value)
+    return bytes(raw)
+
+
+_CKPT = checkpoint_bytes()
+
+
+@pytest.mark.parametrize("raw, error", [
+    pytest.param(_CKPT[:10], TruncatedFileError, id="header-cut"),
+    pytest.param(_CKPT[:19], TruncatedFileError, id="count-cut"),
+    pytest.param(patched(_CKPT, "<H", 14, 3), CheckpointFormatError, id="layers-3"),
+    pytest.param(patched(_CKPT, "<H", 8, 0), CheckpointFormatError, id="hidden-0"),
+    pytest.param(patched(_CKPT, "<H", 8, 4), CheckpointFormatError, id="count-mismatch"),
+])
+def test_checkpoint_bad_header_raises_typed_error(raw, error, tmp_path):
+    path = tmp_path / "bad.blsm"
+    path.write_bytes(raw)
+    with pytest.raises(error):
+        load_model(str(path))
+
+
+_MUTATION_BASE = checkpoint_bytes(scaler=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_MUTATION_BASE) - 1), st.integers(1, 255)),
+                max_size=3),
+       st.integers(0, len(_MUTATION_BASE)))
+def test_mutated_checkpoint_raises_only_typed_errors(flips, keep):
+    raw = bytearray(_MUTATION_BASE)
+    for index, mask in flips:
+        raw[index] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/m.blsm"
+        with open(path, "wb") as fh:
+            fh.write(raw[:keep])
+        try:
+            load_model(path)
+        except EvasionLabError:
+            pass
 
 
 def test_checkpoint_truncated(tmp_path):

@@ -400,14 +400,6 @@ def test_corpus_deterministic():
         assert [p.encode() for p in ta.packets] == [p.encode() for p in tb.packets]
 
 
-def test_corpus_parallel_build_matches_serial():
-    a = build_labeled_corpus(2, params(), seed=5, workers=1)
-    b = build_labeled_corpus(2, params(), seed=5, workers=2)
-    for (ta, la), (tb, lb) in zip(a, b):
-        assert la == lb
-        assert [p.encode() for p in ta.packets] == [p.encode() for p in tb.packets]
-
-
 def test_corpus_packet_counts_in_range():
     corpus = build_labeled_corpus(2, params(), seed=0, n_packets_range=(4, 8))
     # transformed traces can grow, but the ip_tos/ip_opt classes keep
