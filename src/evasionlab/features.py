@@ -7,25 +7,33 @@ Dimension layout (canonical order used everywhere, including on disk):
 ====  ==================  =========================================================
   0   iplen               IP total_length in bytes
   1   ipoffsetoverlap     cur.frag_offset - prev.frag_offset (8-byte units)
-  2   ipflag              mf + 2*df
+  2   ipflag              IP flags & (DF|MF): mf=1 df=2; the reserved bit is left out
   3   ipttldiff           cur.ttl - prev.ttl
   4   tcpchecksum_valid   1 if the stored TCP checksum equals the one computed
                           with the field zeroed, else 0 (0xFFFF is never valid)
   5   tcplen              TCP payload bytes
-  6   tcpflag             fin=1 syn=2 rst=4 psh=8 ack=16 urg=32 bitmask
-  7   tcpsyn              0/1
+  6   tcpflag             TCP flags & 0x3F: fin=1 syn=2 rst=4 psh=8 ack=16 urg=32;
+                          ECE, CWR, NS and the reserved bits feed no dim
+  7   tcpsyn              the SYN bit, 0/1
   8   tcpseqdelta         seq - expected next seq (bytes, wrap-centered)
   9   tcpoverlap          max(0, prev.seq + prev payload len - cur.seq)
- 10   tcpmss              MSS option value
- 11   tcpwscale           window-scale option value
- 12   tcptsval_present    0/1
- 13   iproute             1 if a route/record-route IP option is present
+ 10   tcpmss              value of the first MSS option (kind 2)
+ 11   tcpwscale           value of the first window-scale option (kind 3)
+ 12   tcptsval_present    1 if a timestamp option (kind 8) is present, else 0
+ 13   iproute             1 if a record-route, loose or strict source-route
+                          IP option (kind 7, 131, 137) is present, else 0
  14   ipoptlen            (ihl-5)*4 bytes
  15   iptos               TOS byte
 ====  ==================  =========================================================
 
 Sentinels: -1 means "no predecessor" (dims 1, 3, 9 on the first row);
 -2 means "field absent" (TCP dims on fragments, options not present).
+
+Both option blocks are read by one walk over their bytes: EOL (0) ends the
+block, NOP (1) is one byte, and every other option is kind, length, value.
+A length byte that is missing, below 2 or past the end of the block ends
+the walk; that option's kind still counts as present (dims 12, 13), but its
+value cannot be read, so dims 10 and 11 read -2 for it.
 """
 
 from __future__ import annotations
@@ -36,11 +44,20 @@ import numpy as np
 
 from .errors import TraceTooShortError
 from .packets import (
-    FlowTrace,
-    PacketRecord,
+    IP_DF,
+    IP_MF,
+    IP_OPT_LSRR,
+    IP_OPT_RECORD_ROUTE,
+    IP_OPT_SSRR,
+    TCP_FIN,
+    TCP_OPT_EOL,
     TCP_OPT_MSS,
+    TCP_OPT_NOP,
     TCP_OPT_TIMESTAMP,
     TCP_OPT_WSCALE,
+    TCP_SYN,
+    FlowTrace,
+    PacketRecord,
 )
 
 FEATURE_DIM = 16
@@ -69,27 +86,37 @@ FEATURE_NAMES = (
     "iptos",
 )
 
-_ROUTE_KINDS = {7, 131, 137}  # record-route, loose source route, strict source route
+_ROUTE_KINDS = frozenset((IP_OPT_RECORD_ROUTE, IP_OPT_LSRR, IP_OPT_SSRR))
 
 
-def _ip_option_kinds(options: bytes) -> set[int]:
-    kinds: set[int] = set()
-    i = 0
-    while i < len(options):
-        kind = options[i]
-        if kind == 0:  # end of options
+def _option_values(block: bytes) -> dict[int, bytes | None]:
+    """The first value of each option kind in an IP or TCP option block.
+
+    Both blocks share EOL (0) and NOP (1). A kind whose length byte is
+    missing, below 2 or past the end of the block maps to None and ends
+    the walk.
+    """
+    values: dict[int, bytes | None] = {}
+    i, end = 0, len(block)
+    while i < end:
+        kind = block[i]
+        if kind == TCP_OPT_EOL:
             break
-        kinds.add(kind)
-        if kind == 1:  # no-op
+        if kind == TCP_OPT_NOP:
             i += 1
             continue
-        if i + 1 >= len(options):
+        length = block[i + 1] if i + 1 < end else 0
+        if length < 2 or i + length > end:
+            values.setdefault(kind, None)
             break
-        length = options[i + 1]
-        if length < 2 or i + length > len(options):
-            break
+        values.setdefault(kind, block[i + 2 : i + length])
         i += length
-    return kinds
+    return values
+
+
+def _option_number(values: dict[int, bytes | None], kind: int) -> float:
+    value = values.get(kind)
+    return ABSENT if value is None else float(int.from_bytes(value, "big"))
 
 
 def _centered_u32(delta: int) -> int:
@@ -97,84 +124,46 @@ def _centered_u32(delta: int) -> int:
     return delta - (1 << 32) if delta >= (1 << 31) else delta
 
 
-def intra_features(pkt: PacketRecord, expected_seq: int | None) -> list[float]:
-    """The 13 single-packet dims, canonical order 0,2,4,5,6,7,8,10,11,12,13,14,15.
-
-    ``expected_seq`` is the stream's next expected sequence number, or None
-    when no TCP packet has been seen yet (then the seq delta reads 0).
-    """
-    ip = pkt.ip
-    iproute = 1.0 if _ip_option_kinds(ip.options) & _ROUTE_KINDS else 0.0
-    tcp = pkt.tcp
-    if tcp is None:
-        # a fragment exposes no TCP header: dims 4,5,6,7,8,10,11,12 absent
-        tcp_part = [ABSENT] * 8
-    else:
-        if expected_seq is None:
-            seq_delta = 0.0
-        else:
-            seq_delta = float(_centered_u32(tcp.seq - expected_seq))
-        mss_opt = tcp.find_option(TCP_OPT_MSS)
-        ws_opt = tcp.find_option(TCP_OPT_WSCALE)
-        mss = (
-            float(int.from_bytes(mss_opt.payload, "big")) if mss_opt else ABSENT
-        )
-        wscale = (
-            float(int.from_bytes(ws_opt.payload, "big")) if ws_opt else ABSENT
-        )
-        tcp_part = [
-            1.0 if pkt.tcp_checksum_valid() else 0.0,
-            float(len(pkt.payload)),
-            float(tcp.flags),
-            1.0 if tcp.flag_syn else 0.0,
-            seq_delta,
-            mss,
-            wscale,
-            1.0 if tcp.find_option(TCP_OPT_TIMESTAMP) else 0.0,
-        ]
-    row = [
-        float(ip.total_length),
-        float(ip.flag_mf) + 2.0 * float(ip.flag_df),
-        *tcp_part,
-        iproute,
-        float((ip.ihl - 5) * 4),
-        float(ip.tos),
-    ]
-    return row
-
-
-def inter_features(
-    prev: PacketRecord | None, cur: PacketRecord
-) -> tuple[float, float, float]:
-    """Dims (1, 3, 9) from a consecutive packet pair; all -1 with no prev."""
-    if prev is None:
-        return (NO_PREDECESSOR, NO_PREDECESSOR, NO_PREDECESSOR)
-    d_offset = float(cur.ip.frag_offset - prev.ip.frag_offset)
-    d_ttl = float(cur.ip.ttl - prev.ip.ttl)
-    if prev.tcp is None or cur.tcp is None:
-        overlap = ABSENT
-    else:
-        prev_end = prev.tcp.seq + len(prev.payload)
-        overlap = float(max(0, _centered_u32(prev_end - cur.tcp.seq)))
-    return (d_offset, d_ttl, overlap)
-
-
 def feature_matrix(trace: FlowTrace) -> np.ndarray:
-    """One row per packet, shape (len(trace), 16), float32."""
+    """One row per packet, shape (len(trace), 16), float32.
+
+    The sequence delta of the first TCP packet reads 0: it sets the
+    stream's first expectation.
+    """
     rows = np.empty((len(trace.packets), FEATURE_DIM), dtype=np.float32)
     expected_seq: int | None = None
     prev: PacketRecord | None = None
     for i, pkt in enumerate(trace.packets):
-        intra = intra_features(pkt, expected_seq)
-        d_offset, d_ttl, overlap = inter_features(prev, pkt)
-        row = list(intra)
-        row.insert(1, d_offset)       # dim 1
-        row.insert(3, d_ttl)          # dim 3
-        row.insert(9, overlap)        # dim 9
-        rows[i] = row
-        if pkt.tcp is not None:
-            advance = len(pkt.payload) + int(pkt.tcp.flag_syn) + int(pkt.tcp.flag_fin)
-            expected_seq = (pkt.tcp.seq + advance) & 0xFFFFFFFF
+        ip, tcp = pkt.ip, pkt.tcp
+        if prev is None:
+            d_offset = d_ttl = overlap = NO_PREDECESSOR
+        else:
+            d_offset = ip.frag_offset - prev.ip.frag_offset
+            d_ttl = ip.ttl - prev.ip.ttl
+            if prev.tcp is None or tcp is None:
+                overlap = ABSENT
+            else:
+                overlap = max(0, _centered_u32(prev.tcp.seq + len(prev.payload) - tcp.seq))
+        iproute = 0.0 if _ROUTE_KINDS.isdisjoint(_option_values(ip.options)) else 1.0
+        if tcp is None:
+            # a fragment exposes no TCP header: dims 4-8 and 10-12 absent
+            valid = length = flags = syn = seq_delta = mss = wscale = tsval = ABSENT
+        else:
+            valid = 1.0 if pkt.tcp_checksum_valid() else 0.0
+            length = len(pkt.payload)
+            flags = tcp.flags & 0x3F
+            syn = 1 if tcp.flags & TCP_SYN else 0
+            seq_delta = 0 if expected_seq is None else _centered_u32(tcp.seq - expected_seq)
+            options = _option_values(tcp.options)
+            mss = _option_number(options, TCP_OPT_MSS)
+            wscale = _option_number(options, TCP_OPT_WSCALE)
+            tsval = 1.0 if TCP_OPT_TIMESTAMP in options else 0.0
+            expected_seq = (tcp.seq + length + syn + (tcp.flags & TCP_FIN)) & 0xFFFFFFFF
+        rows[i] = (
+            ip.total_length, d_offset, ip.flags & (IP_DF | IP_MF), d_ttl,
+            valid, length, flags, syn, seq_delta, overlap, mss, wscale, tsval,
+            iproute, (ip.ihl - 5) * 4, ip.tos,
+        )
         prev = pkt
     return rows
 
@@ -253,8 +242,6 @@ __all__ = [
     "FEATURE_NAMES",
     "NO_PREDECESSOR",
     "ABSENT",
-    "intra_features",
-    "inter_features",
     "feature_matrix",
     "FeatureSequence",
     "window_matrix",

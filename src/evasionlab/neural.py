@@ -631,6 +631,11 @@ def load_model(path: str) -> BiLstmModel:
      scaler_flag) = _HEADER.unpack_from(data)
     if version != CHECKPOINT_VERSION:
         raise BadMagicError(f"unsupported checkpoint version {version}")
+    if not {bi, readout_code, scaler_flag} <= {0, 1}:
+        raise CheckpointFormatError(
+            f"checkpoint flag bytes must be 0 or 1, got bidi {bi}, "
+            f"readout {readout_code}, scaler {scaler_flag}"
+        )
     try:
         config = ModelConfig(
             hidden=hidden,
@@ -665,6 +670,10 @@ def load_model(path: str) -> BiLstmModel:
         )
     if pos + count * 8 > len(data):
         raise TruncatedFileError("checkpoint parameter block truncated")
+    if pos + count * 8 != len(data):
+        raise CheckpointFormatError(
+            f"{len(data) - pos - count * 8} bytes after the checkpoint parameter block"
+        )
     flat = np.frombuffer(data, dtype="<f8", count=count, offset=pos).astype(np.float64)
     return BiLstmModel(config, flat, scaler)
 

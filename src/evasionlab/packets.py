@@ -5,6 +5,15 @@ they build modified copies with :func:`evolve`, which validates each copy
 as the constructor does. Addresses are kept as 32-bit ints; helpers convert
 to/from dotted quads for display only.
 
+Each header field holds the wire's bits. ``Ipv4Header.flags`` is the 3-bit
+field above the fragment offset (reserved, ``IP_DF``, ``IP_MF``) and
+``TcpHeader.flags`` the 12 bits below the data offset (the reserved nibble,
+NS, CWR, ECE and the six classic bits ``TCP_FIN`` to ``TCP_URG``). Both
+headers keep their options as the raw bytes they carry; nothing parses
+them on decode, so ``encode(decode(frame)) == frame`` for every frame that
+decodes, whatever its option bytes hold. Readers of option values walk the
+bytes themselves (see :mod:`evasionlab.features`).
+
 ``Ipv4Header.with_checksum`` and ``PacketRecord.with_checksums`` take the
 field changes themselves, so a rewritten packet costs one copy per header
 it changes plus one record. The checksum is computed on that fresh copy
@@ -35,12 +44,15 @@ TCP_OPT_MSS = 2
 TCP_OPT_WSCALE = 3
 TCP_OPT_TIMESTAMP = 8
 
-IP_OPT_NOP = 1
 IP_OPT_RECORD_ROUTE = 7
 IP_OPT_LSRR = 131
 IP_OPT_SSRR = 137
 
-# flag bit values used by the tcpflag feature and serialization
+# bits of Ipv4Header.flags
+IP_MF = 0x1
+IP_DF = 0x2
+
+# bits of TcpHeader.flags
 TCP_FIN = 0x01
 TCP_SYN = 0x02
 TCP_RST = 0x04
@@ -169,8 +181,7 @@ class Ipv4Header:
     tos: int
     total_length: int
     identification: int
-    flag_df: bool
-    flag_mf: bool
+    flags: int  # reserved, DF, MF: the 3 bits above frag_offset
     frag_offset: int  # 8-byte units
     ttl: int
     protocol: int
@@ -185,6 +196,8 @@ class Ipv4Header:
             raise ValueError(f"IPv4 version must be 4, got {self.version}")
         if not 5 <= self.ihl <= 15:
             raise ValueError(f"ihl {self.ihl} out of range [5, 15]")
+        if not 0 <= self.flags <= 7:
+            raise ValueError(f"IP flags {self.flags} out of range [0, 7]")
         if len(self.options) != (self.ihl - 5) * 4:
             raise ValueError(
                 f"options length {len(self.options)} != (ihl-5)*4 = {(self.ihl - 5) * 4}"
@@ -197,11 +210,6 @@ class Ipv4Header:
         return self.ihl * 4
 
     def encode(self) -> bytes:
-        flags_frag = (
-            (0x4000 if self.flag_df else 0)
-            | (0x2000 if self.flag_mf else 0)
-            | (self.frag_offset & 0x1FFF)
-        )
         return (
             struct.pack(
                 "!BBHHHBBHII",
@@ -209,7 +217,7 @@ class Ipv4Header:
                 self.tos,
                 self.total_length,
                 self.identification,
-                flags_frag,
+                (self.flags << 13) | (self.frag_offset & 0x1FFF),
                 self.ttl,
                 self.protocol,
                 self.checksum,
@@ -234,8 +242,7 @@ class Ipv4Header:
             tos=tos,
             total_length=total_length,
             identification=ident,
-            flag_df=bool(flags_frag & 0x4000),
-            flag_mf=bool(flags_frag & 0x2000),
+            flags=flags_frag >> 13,
             frag_offset=flags_frag & 0x1FFF,
             ttl=ttl,
             protocol=proto,
@@ -276,134 +283,56 @@ class Ipv4Header:
 
 
 @dataclass(frozen=True)
-class TcpOption:
-    kind: int
-    payload: bytes = b""
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.kind <= 255:
-            raise ValueError(f"TCP option kind {self.kind} out of range [0, 255]")
-
-    @property
-    def size(self) -> int:
-        """Serialized length: one byte for EOL/NOP, else kind, length, payload."""
-        if self.kind in (TCP_OPT_EOL, TCP_OPT_NOP):
-            return 1
-        return 2 + len(self.payload)
-
-    def encode(self) -> bytes:
-        if self.kind in (TCP_OPT_EOL, TCP_OPT_NOP):
-            return bytes([self.kind])
-        return bytes([self.kind, 2 + len(self.payload)]) + self.payload
-
-
-def encode_tcp_options(options: tuple[TcpOption, ...]) -> bytes:
-    return b"".join(opt.encode() for opt in options)
-
-
-def pad_tcp_options(options: list[TcpOption]) -> tuple[TcpOption, ...]:
-    """Append NOPs so the serialized options land on a 32-bit boundary."""
-    size = sum(opt.size for opt in options)
-    padded = list(options)
-    while size % 4:
-        padded.append(TcpOption(TCP_OPT_NOP))
-        size += 1
-    return tuple(padded)
-
-
-def decode_tcp_options(data: bytes) -> tuple[TcpOption, ...]:
-    """Parse an option block, keeping NOP/EOL entries so encoding round-trips."""
-    options: list[TcpOption] = []
-    i = 0
-    while i < len(data):
-        kind = data[i]
-        if kind in (TCP_OPT_EOL, TCP_OPT_NOP):
-            options.append(TcpOption(kind))
-            i += 1
-            continue
-        if i + 1 >= len(data):
-            raise ValueError("TCP option truncated (missing length byte)")
-        length = data[i + 1]
-        if length < 2 or i + length > len(data):
-            raise ValueError(f"TCP option kind {kind} has bad length {length}")
-        options.append(TcpOption(kind, bytes(data[i + 2 : i + length])))
-        i += length
-    return tuple(options)
-
-
-@dataclass(frozen=True)
 class TcpHeader:
     src_port: int
     dst_port: int
     seq: int
     ack: int
     data_offset: int
-    flag_fin: bool = False
-    flag_syn: bool = False
-    flag_rst: bool = False
-    flag_psh: bool = False
-    flag_ack: bool = False
-    flag_urg: bool = False
+    flags: int = 0  # the 12 bits below data_offset
     window: int = 65535
     checksum: int = 0
     urgent: int = 0
-    options: tuple[TcpOption, ...] = ()
+    options: bytes = b""
 
     def __post_init__(self) -> None:
         if not 5 <= self.data_offset <= 15:
             raise ValueError(f"data_offset {self.data_offset} out of range [5, 15]")
-        opt_len = sum(opt.size for opt in self.options)
-        if opt_len != (self.data_offset - 5) * 4:
+        if not 0 <= self.flags <= 0xFFF:
+            raise ValueError(f"TCP flags {self.flags:#x} out of range [0, 0xfff]")
+        if len(self.options) != (self.data_offset - 5) * 4:
             raise ValueError(
-                f"serialized options ({opt_len} bytes) must fill exactly "
-                f"(data_offset-5)*4 = {(self.data_offset - 5) * 4} bytes"
+                f"options length {len(self.options)} != "
+                f"(data_offset-5)*4 = {(self.data_offset - 5) * 4}"
             )
 
     @property
     def header_length(self) -> int:
         return self.data_offset * 4
 
-    @property
-    def flags(self) -> int:
-        return (
-            (TCP_FIN if self.flag_fin else 0)
-            | (TCP_SYN if self.flag_syn else 0)
-            | (TCP_RST if self.flag_rst else 0)
-            | (TCP_PSH if self.flag_psh else 0)
-            | (TCP_ACK if self.flag_ack else 0)
-            | (TCP_URG if self.flag_urg else 0)
-        )
-
-    def find_option(self, kind: int) -> TcpOption | None:
-        for opt in self.options:
-            if opt.kind == kind:
-                return opt
-        return None
-
     def encode(self) -> bytes:
         return (
             struct.pack(
-                "!HHIIBBHHH",
+                "!HHIIHHHH",
                 self.src_port,
                 self.dst_port,
                 self.seq,
                 self.ack,
-                self.data_offset << 4,
-                self.flags,
+                (self.data_offset << 12) | self.flags,
                 self.window,
                 self.checksum,
                 self.urgent,
             )
-            + encode_tcp_options(self.options)
+            + self.options
         )
 
     @classmethod
     def decode(cls, data: bytes) -> "TcpHeader":
         if len(data) < 20:
             raise ValueError(f"TCP header needs 20 bytes, got {len(data)}")
-        (src_port, dst_port, seq, ack, off_rsv, flags, window, checksum,
-         urgent) = struct.unpack("!HHIIBBHHH", data[:20])
-        data_offset = off_rsv >> 4
+        (src_port, dst_port, seq, ack, off_flags, window, checksum,
+         urgent) = struct.unpack("!HHIIHHHH", data[:20])
+        data_offset = off_flags >> 12
         if data_offset < 5 or len(data) < data_offset * 4:
             raise ValueError("buffer shorter than declared TCP header length")
         return cls(
@@ -412,16 +341,11 @@ class TcpHeader:
             seq=seq,
             ack=ack,
             data_offset=data_offset,
-            flag_fin=bool(flags & TCP_FIN),
-            flag_syn=bool(flags & TCP_SYN),
-            flag_rst=bool(flags & TCP_RST),
-            flag_psh=bool(flags & TCP_PSH),
-            flag_ack=bool(flags & TCP_ACK),
-            flag_urg=bool(flags & TCP_URG),
+            flags=off_flags & 0xFFF,
             window=window,
             checksum=checksum,
             urgent=urgent,
-            options=decode_tcp_options(data[20 : data_offset * 4]),
+            options=bytes(data[20 : data_offset * 4]),
         )
 
     def _write_checksum(
@@ -469,7 +393,7 @@ class PacketRecord:
 
     @property
     def is_fragment(self) -> bool:
-        return self.ip.flag_mf or self.ip.frag_offset > 0
+        return bool(self.ip.flags & IP_MF) or self.ip.frag_offset > 0
 
     def ip_payload(self) -> bytes:
         """The bytes carried after the IP header (TCP header included)."""
@@ -486,7 +410,7 @@ class PacketRecord:
         if len(data) < ip.total_length:
             raise ValueError("buffer shorter than ip.total_length")
         body = data[ip.header_length : ip.total_length]
-        if ip.protocol == IPPROTO_TCP and not ip.flag_mf and ip.frag_offset == 0:
+        if ip.protocol == IPPROTO_TCP and not ip.flags & IP_MF and ip.frag_offset == 0:
             tcp = TcpHeader.decode(body)
             return cls(ts=ts, ip=ip, tcp=tcp, payload=bytes(body[tcp.header_length :]))
         return cls(ts=ts, ip=ip, tcp=None, payload=bytes(body))
@@ -559,10 +483,6 @@ class FlowTrace:
 
     def __len__(self) -> int:
         return len(self.packets)
-
-    def total_payload(self) -> bytes:
-        """Concatenated TCP payload of non-fragment packets, capture order."""
-        return b"".join(p.payload for p in self.packets if p.tcp is not None)
 
 
 def flow_key_of(pkt: PacketRecord) -> FlowKey:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteStreamError
-from .packets import FlowTrace, PacketRecord, TcpHeader, evolve
+from .packets import IP_MF, TCP_SYN, FlowTrace, PacketRecord, TcpHeader, evolve
 
 
 @dataclass
@@ -68,7 +68,7 @@ def _reassemble_fragments(
         start = frag.ip.frag_offset * 8
         data = frag.ip_payload()
         _claim(buf, have, start, data)
-        if not frag.ip.flag_mf:
+        if not frag.ip.flags & IP_MF:
             total_len = max(total_len or 0, start + len(data))
     if total_len is None or len(buf) < total_len:
         return None
@@ -79,7 +79,7 @@ def _reassemble_fragments(
     first = min(fragments, key=lambda pair: (pair[1].ip.frag_offset, pair[0]))[1]
     ip = evolve(
         first.ip,
-        flag_mf=False,
+        flags=first.ip.flags & ~IP_MF,
         frag_offset=0,
         total_length=first.ip.header_length + total_len,
     )
@@ -147,7 +147,7 @@ def normalize_receive(trace: FlowTrace, ttl_floor: int = 1) -> ReceiverReport:
     # Phase 4: byte-stream reassembly against the ISN.
     isn: int | None = None
     for pkt in segments:
-        if pkt.tcp is not None and pkt.tcp.flag_syn:
+        if pkt.tcp is not None and pkt.tcp.flags & TCP_SYN:
             isn = pkt.tcp.seq
             break
     if isn is None:
@@ -163,7 +163,7 @@ def normalize_receive(trace: FlowTrace, ttl_floor: int = 1) -> ReceiverReport:
             continue
         # the SYN occupies one sequence number, so data starts at ISN+1
         start = (tcp.seq - (isn + 1)) % (1 << 32)
-        if tcp.flag_syn:
+        if tcp.flags & TCP_SYN:
             start = 0  # data on the SYN itself sits right after the ISN
         if start > (1 << 31):
             # segment entirely before the ISN: stale chaff, ignore

@@ -20,14 +20,18 @@ from dataclasses import dataclass, replace
 
 from .errors import EmptyPayloadError
 from .packets import (
+    IP_DF,
+    IP_MF,
+    TCP_ACK,
+    TCP_OPT_MSS,
+    TCP_OPT_NOP,
+    TCP_OPT_TIMESTAMP,
+    TCP_PSH,
+    TCP_SYN,
     FlowTrace,
     Ipv4Header,
     PacketRecord,
     TcpHeader,
-    TcpOption,
-    TCP_OPT_MSS,
-    TCP_OPT_NOP,
-    TCP_OPT_TIMESTAMP,
 )
 
 
@@ -122,8 +126,7 @@ def generate_clean_flow(
             tos=0,
             total_length=40 + len(payload),
             identification=(ip_id + idx) & 0xFFFF,
-            flag_df=True,
-            flag_mf=False,
+            flags=IP_DF,
             frag_offset=0,
             ttl=64,
             protocol=6,
@@ -137,9 +140,7 @@ def generate_clean_flow(
             seq=seq,
             ack=0 if syn else ack_val,
             data_offset=5,
-            flag_syn=syn,
-            flag_psh=not syn,
-            flag_ack=not syn,
+            flags=TCP_SYN if syn else TCP_PSH | TCP_ACK,
             window=64240,
         )._write_checksum(ip, payload)
         return PacketRecord(ts=ts + 0.01 * idx, ip=ip, tcp=tcp, payload=payload)
@@ -247,8 +248,7 @@ def _ip_frag(trace: FlowTrace, params: SynthParams, rng: random.Random):
                 offset_units -= 1
                 data = _junk(rng, 8) + chunk
             ip = pkt.ip.with_checksum(
-                flag_df=False,
-                flag_mf=j < len(chunks) - 1,
+                flags=IP_MF if j < len(chunks) - 1 else 0,
                 frag_offset=offset_units,
                 total_length=pkt.ip.header_length + len(data),
             )
@@ -288,23 +288,19 @@ def _tcp_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if pkt.tcp is None:
             out.append(pkt)
             continue
-        if pkt.tcp.flag_syn:
-            options = (TcpOption(TCP_OPT_MSS, struct.pack("!H", 1460)),)
+        if pkt.tcp.flags & TCP_SYN:
+            options = struct.pack("!BBH", TCP_OPT_MSS, 4, 1460)
         elif pkt.payload:
-            options = (
-                TcpOption(TCP_OPT_NOP),
-                TcpOption(TCP_OPT_NOP),
-                TcpOption(
-                    TCP_OPT_TIMESTAMP, struct.pack("!II", (tsval + j) & 0xFFFFFFFF, 0)
-                ),
+            options = struct.pack(
+                "!BBBBII", TCP_OPT_NOP, TCP_OPT_NOP, TCP_OPT_TIMESTAMP, 10,
+                (tsval + j) & 0xFFFFFFFF, 0,
             )
         else:
             out.append(pkt)
             continue
-        opt_len = sum(o.size for o in options)
         out.append(pkt.with_checksums(
-            {"total_length": pkt.ip.total_length + opt_len},
-            {"data_offset": 5 + opt_len // 4, "options": options},
+            {"total_length": pkt.ip.total_length + len(options)},
+            {"data_offset": 5 + len(options) // 4, "options": options},
         ))
     return out
 

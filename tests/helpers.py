@@ -5,15 +5,20 @@ synthesis code, so tests keep an independent path to valid on-the-wire
 structures.
 """
 
+import struct
+
 from hypothesis import strategies as st
 
 from evasionlab.packets import (
+    IP_DF,
+    IP_MF,
+    TCP_ACK,
+    TCP_PSH,
+    TCP_SYN,
     FlowTrace,
     Ipv4Header,
     PacketRecord,
     TcpHeader,
-    TcpOption,
-    pad_tcp_options,
     str_to_addr,
 )
 
@@ -21,6 +26,40 @@ SRC = str_to_addr("10.0.0.1")
 DST = str_to_addr("192.168.0.9")
 SPORT = 40000
 DPORT = 80
+
+
+def reference_checksum(data: bytes) -> int:
+    """Independent RFC 1071 implementation: deferred-carry accumulation."""
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def wire_packet(
+    payload: bytes = b"",
+    *,
+    seq: int = 1,
+    tcp_flags: int = TCP_ACK,
+    tcp_options: bytes = b"",
+    ip_flags: int = IP_DF,
+) -> bytes:
+    """IPv4/TCP packet bytes packed by hand, with both checksums computed
+    by :func:`reference_checksum` over the bytes as sent."""
+    tcp = struct.pack(
+        "!HHIIHHHH", SPORT, DPORT, seq, 1,
+        (5 + len(tcp_options) // 4) << 12 | tcp_flags, 64240, 0, 0,
+    ) + tcp_options
+    segment = tcp + payload
+    ip = struct.pack(
+        "!BBHHHBBHII", 0x45, 0, 20 + len(segment), 7, ip_flags << 13, 64, 6, 0, SRC, DST
+    )
+    ip = ip[:10] + reference_checksum(ip).to_bytes(2, "big") + ip[12:]
+    pseudo = struct.pack("!IIHH", SRC, DST, 6, len(segment))
+    check = reference_checksum(pseudo + segment + bytes(len(segment) % 2))
+    return ip + segment[:16] + check.to_bytes(2, "big") + segment[18:]
 
 
 def make_ip(
@@ -31,8 +70,7 @@ def make_ip(
     ident: int = 7,
     ttl: int = 64,
     tos: int = 0,
-    df: bool = True,
-    mf: bool = False,
+    flags: int = IP_DF,
     offset: int = 0,
     options: bytes = b"",
     src: int = SRC,
@@ -43,8 +81,7 @@ def make_ip(
         tos=tos,
         total_length=ihl * 4 + tcp_len + payload_len,
         identification=ident,
-        flag_df=df,
-        flag_mf=mf,
+        flags=flags,
         frag_offset=offset,
         ttl=ttl,
         protocol=6,
@@ -75,9 +112,7 @@ def make_packet(
         seq=seq,
         ack=0 if syn else 1,
         data_offset=5,
-        flag_syn=syn,
-        flag_psh=not syn and bool(payload),
-        flag_ack=not syn,
+        flags=TCP_SYN if syn else TCP_ACK | (TCP_PSH if payload else 0),
         window=64240,
     )
     pkt = PacketRecord(
@@ -106,8 +141,7 @@ def make_fragment(
             tcp_len=0,
             ident=ident,
             ttl=ttl,
-            df=False,
-            mf=mf,
+            flags=IP_MF if mf else 0,
             offset=offset_units,
         ),
         tcp=None,
@@ -131,30 +165,23 @@ def handshake_trace(chunks: list[bytes], isn: int = 1000) -> FlowTrace:
     )
 
 
-TCP_OPTIONS = st.lists(
-    st.one_of(
-        st.just(TcpOption(1)),
-        st.binary(min_size=2, max_size=2).map(lambda b: TcpOption(2, b)),
-        st.binary(min_size=1, max_size=1).map(lambda b: TcpOption(3, b)),
-        st.binary(min_size=8, max_size=8).map(lambda b: TcpOption(8, b)),
-        st.tuples(st.integers(9, 255), st.binary(max_size=6)).map(lambda t: TcpOption(*t)),
-    ),
-    max_size=5,
-).map(pad_tcp_options).filter(lambda opts: sum(len(o.encode()) for o in opts) <= 40)
+def option_blocks(max_size: int = 40):
+    """Arbitrary option bytes of a whole number of 32-bit words, malformed
+    blocks included: headers keep option bytes as they are."""
+    return st.binary(max_size=max_size).map(lambda b: b[: len(b) // 4 * 4])
 
 
 @st.composite
 def random_packets(draw):
     """A TCP packet with random header fields, options and payload."""
-    options = draw(TCP_OPTIONS)
+    options = draw(option_blocks())
     tcp = TcpHeader(
         src_port=draw(st.integers(0, 0xFFFF)),
         dst_port=draw(st.integers(0, 0xFFFF)),
         seq=draw(st.integers(0, 2**32 - 1)),
         ack=draw(st.integers(0, 2**32 - 1)),
-        data_offset=5 + sum(len(o.encode()) for o in options) // 4,
-        flag_syn=draw(st.booleans()),
-        flag_ack=draw(st.booleans()),
+        data_offset=5 + len(options) // 4,
+        flags=draw(st.integers(0, 0xFFF)),
         window=draw(st.integers(0, 0xFFFF)),
         urgent=draw(st.integers(0, 0xFFFF)),
         options=options,
@@ -166,8 +193,7 @@ def random_packets(draw):
         tos=draw(st.integers(0, 255)),
         total_length=ihl * 4 + tcp.header_length + len(payload),
         identification=draw(st.integers(0, 0xFFFF)),
-        flag_df=draw(st.booleans()),
-        flag_mf=False,
+        flags=draw(st.integers(0, 7)) & ~IP_MF,
         frag_offset=0,
         ttl=draw(st.integers(0, 255)),
         protocol=6,

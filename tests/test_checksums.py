@@ -15,23 +15,16 @@ from hypothesis import strategies as st
 
 from evasionlab.errors import OddLengthError
 from evasionlab.packets import (
+    IP_DF,
+    TCP_ACK,
+    TCP_PSH,
     Ipv4Header,
     PacketRecord,
     TcpHeader,
     ipv4_checksum,
     tcp_checksum,
 )
-from helpers import make_packet, random_packets
-
-
-def reference_checksum(data: bytes) -> int:
-    """Independent RFC 1071 implementation: deferred-carry accumulation."""
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+from helpers import make_packet, random_packets, reference_checksum, wire_packet
 
 
 def test_hand_worked_example():
@@ -185,3 +178,18 @@ def test_stored_all_ones_is_never_valid():
     assert pkt.tcp.checksum == 0x0000 and pkt.tcp_checksum_valid()
     ones = replace(pkt, tcp=replace(pkt.tcp, checksum=0xFFFF))
     assert not ones.tcp_checksum_valid()
+
+
+def test_ecn_bits_keep_a_wire_valid_tcp_checksum_valid():
+    # RFC 3168: ECE (0x40) and CWR (0x80) sit above the six classic flags
+    raw = wire_packet(b"data", tcp_flags=TCP_ACK | TCP_PSH | 0x40 | 0x80)
+    pkt = PacketRecord.decode(raw)
+    assert pkt.encode() == raw
+    assert pkt.tcp_checksum_valid()
+
+
+def test_ip_reserved_bit_keeps_a_wire_valid_header_checksum_valid():
+    raw = wire_packet(b"data", ip_flags=0x4 | IP_DF)
+    pkt = PacketRecord.decode(raw)
+    assert pkt.encode() == raw
+    assert pkt.ip.checksum_valid() and pkt.tcp_checksum_valid()

@@ -1,6 +1,7 @@
 """Binary dataset format, splits, batching, CSV export."""
 
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from evasionlab.errors import (
     DatasetFormatError,
     DimMismatchError,
     EmptyDatasetError,
+    EvasionLabError,
 )
 from evasionlab.features import FEATURE_NAMES, FeatureSequence
 
@@ -166,6 +168,35 @@ def test_round_trip_property(tmp_path_factory, samples):
 
 
 # -- splits and batches -----------------------------------------------------
+
+
+def _dataset_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/data.neds"
+        write_dataset([sample(label=i % 3, n=3 + i % 5, seed=i) for i in range(4)], path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_MUTATION_BASE = _dataset_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_MUTATION_BASE) - 1), st.integers(1, 255)),
+                max_size=3),
+       st.integers(0, len(_MUTATION_BASE) + 4))
+def test_mutated_dataset_raises_only_typed_errors(flips, keep):
+    raw = bytearray(_MUTATION_BASE) + b"\x07" * 4
+    for index, mask in flips:
+        raw[index] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/data.neds"
+        with open(path, "wb") as fh:
+            fh.write(raw[:keep])
+        try:
+            read_dataset(path)
+        except EvasionLabError:
+            pass
 
 
 def test_split_sizes_and_disjointness():

@@ -19,8 +19,9 @@ from evasionlab.features import (
     feature_matrix,
     window_matrix,
 )
+from evasionlab.packets import TCP_ACK, TCP_PSH, FlowTrace, PacketRecord
 from evasionlab.synth import EvasionLabel, SynthParams, apply_evasion, generate_clean_flow
-from helpers import handshake_trace
+from helpers import handshake_trace, make_packet, wire_packet
 
 # column indices, fixed by the format
 IPLEN, IPOFF, IPFLAG, IPTTLDIFF = 0, 1, 2, 3
@@ -78,6 +79,14 @@ def test_syn_flag_bits():
     assert m[1][TCPFLAG] == 24  # PSH|ACK
 
 
+def test_ecn_segment_reads_valid_and_its_classic_flags():
+    ecn = PacketRecord.decode(wire_packet(b"data", seq=101, tcp_flags=TCP_PSH | TCP_ACK | 0xC0))
+    m = feature_matrix(FlowTrace(key=(0, 0, 0, 0), packets=[make_packet(100, b"", syn=True), ecn]))
+    assert m[1][TCPCK] == 1
+    assert m[1][TCPFLAG] == TCP_PSH | TCP_ACK  # ECE and CWR feed no dim
+    assert m[1][TCPSEQD] == 0
+
+
 def test_ttl_chaff_signature():
     # chaff expiring at the floor alternates the TTL delta column
     trace = generate_clean_flow(3, 3)
@@ -130,6 +139,12 @@ def test_tcp_options_columns():
         assert row[TCPMSS] == ABSENT
         assert row[TCPTS] == 1
     assert all(row[TCPWS] == ABSENT for row in m)
+
+
+def test_missing_tcp_options_read_absent():
+    m = feature_matrix(handshake_trace([b"x" * 8]))
+    assert m[:, [TCPMSS, TCPWS]].tolist() == [[ABSENT, ABSENT]] * 2
+    assert m[:, TCPTS].tolist() == [0.0, 0.0]
 
 
 def test_ip_option_columns():

@@ -623,11 +623,26 @@ _CKPT = checkpoint_bytes()
     pytest.param(patched(_CKPT, "<H", 14, 3), CheckpointFormatError, id="layers-3"),
     pytest.param(patched(_CKPT, "<H", 8, 0), CheckpointFormatError, id="hidden-0"),
     pytest.param(patched(_CKPT, "<H", 8, 4), CheckpointFormatError, id="count-mismatch"),
+    pytest.param(patched(_CKPT, "<B", 16, 2), CheckpointFormatError, id="bidi-2"),
+    pytest.param(patched(_CKPT, "<B", 17, 0x80), CheckpointFormatError, id="readout-0x80"),
+    pytest.param(patched(_CKPT, "<B", 18, 0xFF), CheckpointFormatError, id="scaler-0xff"),
+    pytest.param(_CKPT + bytes(8), CheckpointFormatError, id="trailing-bytes"),
 ])
 def test_checkpoint_bad_header_raises_typed_error(raw, error, tmp_path):
     path = tmp_path / "bad.blsm"
     path.write_bytes(raw)
     with pytest.raises(error):
+        load_model(str(path))
+
+
+def test_checkpoint_with_flipped_flag_bits_and_junk_is_rejected(tmp_path):
+    # a corruption that once loaded as a mean-readout model
+    raw = bytearray(_CKPT)
+    raw[17] ^= 0x80
+    raw[16] ^= 0x40
+    path = tmp_path / "bad.blsm"
+    path.write_bytes(bytes(raw) + b"junk")
+    with pytest.raises(CheckpointFormatError):
         load_model(str(path))
 
 

@@ -1,27 +1,30 @@
 """Header encode/decode round-trips, field validation and frozen copies."""
 
 import dataclasses
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from evasionlab.packets import (
-    TCP_OPT_MSS,
-    TCP_OPT_TIMESTAMP,
+    IP_DF,
+    IP_MF,
+    TCP_ACK,
+    TCP_FIN,
+    TCP_PSH,
+    TCP_RST,
+    TCP_SYN,
+    TCP_URG,
     Ipv4Header,
     PacketRecord,
     TcpHeader,
-    TcpOption,
     addr_to_str,
-    decode_tcp_options,
-    encode_tcp_options,
     evolve,
     flow_key_of,
-    pad_tcp_options,
     str_to_addr,
 )
-from helpers import make_fragment, make_ip, make_packet, random_packets
+from helpers import make_fragment, make_ip, make_packet, option_blocks, random_packets
 
 
 # -- addresses --------------------------------------------------------------
@@ -73,7 +76,7 @@ def test_ipv4_options_length_must_match_ihl():
 
 def test_fragment_past_datagram_limit():
     with pytest.raises(ValueError):
-        make_ip(1400, tcp_len=0, df=False, offset=8100)
+        make_ip(1400, tcp_len=0, flags=0, offset=8100)
 
 
 def test_checksum_valid_flag():
@@ -92,8 +95,7 @@ def ipv4_headers(draw):
         tos=draw(st.integers(0, 255)),
         total_length=ihl * 4 + payload,
         identification=draw(st.integers(0, 0xFFFF)),
-        flag_df=draw(st.booleans()),
-        flag_mf=draw(st.booleans()),
+        flags=draw(st.integers(0, 7)),
         frag_offset=draw(st.integers(0, 100)),
         ttl=draw(st.integers(0, 255)),
         protocol=6,
@@ -109,56 +111,59 @@ def test_ipv4_round_trip(hdr):
     assert Ipv4Header.decode(hdr.encode()) == hdr
 
 
+def test_ip_flags_sit_above_the_fragment_offset():
+    raw = make_ip(0, flags=IP_DF | IP_MF | 4, offset=0x1ABC).encode()
+    assert struct.unpack_from("!H", raw, 6)[0] == 0xFABC
+    assert (IP_MF, IP_DF) == (1, 2)
+
+
+def test_header_flags_must_fit_their_field():
+    for flags in (-1, 8):
+        with pytest.raises(ValueError):
+            make_ip(0, flags=flags)
+    for flags in (-1, 0x1000):
+        with pytest.raises(ValueError):
+            TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=5, flags=flags)
+
+
 # -- TCP options ------------------------------------------------------------
+
+MSS_1460 = b"\x02\x04\x05\xb4"
 
 
 def test_mss_option_bytes():
-    raw = encode_tcp_options((TcpOption(TCP_OPT_MSS, b"\x05\xb4"),))
-    assert raw == b"\x02\x04\x05\xb4"
+    hdr = TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=6, options=MSS_1460)
+    assert hdr.encode()[20:] == MSS_1460
 
 
 def test_nop_and_eol_preserved():
-    opts = pad_tcp_options([TcpOption(TCP_OPT_MSS, b"\x05\xb4")])
-    raw = encode_tcp_options(opts)
-    assert len(raw) % 4 == 0
-    assert decode_tcp_options(raw) == opts
+    # bytes after EOL, and options whose length runs past the block, stay put
+    for options in (b"\x01\x01\x00\x07", b"\x00\x02\x04\x05", b"\x02\x09\x05\xb4"):
+        hdr = TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=6, options=options)
+        assert TcpHeader.decode(hdr.encode()).options == options
 
 
 def test_timestamp_option_round_trip():
-    ts = TcpOption(TCP_OPT_TIMESTAMP, bytes(8))
-    opts = pad_tcp_options([TcpOption(1), TcpOption(1), ts])
-    assert decode_tcp_options(encode_tcp_options(opts)) == opts
+    options = b"\x01\x01\x08\x0a" + struct.pack("!II", 123456, 0)
+    hdr = TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=8, options=options)
+    assert TcpHeader.decode(hdr.encode()) == hdr
 
 
 # -- TCP header -------------------------------------------------------------
 
 
 def test_flag_bit_values():
-    flags = {
-        "flag_fin": 0x01,
-        "flag_syn": 0x02,
-        "flag_rst": 0x04,
-        "flag_psh": 0x08,
-        "flag_ack": 0x10,
-        "flag_urg": 0x20,
-    }
-    for name, bit in flags.items():
-        hdr = TcpHeader(
-            src_port=1, dst_port=2, seq=0, ack=0, data_offset=5, **{name: True}
-        )
-        assert hdr.flags == bit
+    bits = [TCP_FIN, TCP_SYN, TCP_RST, TCP_PSH, TCP_ACK, TCP_URG]
+    assert bits == [0x01, 0x02, 0x04, 0x08, 0x10, 0x20]
+    for bit in (*bits, 0x40, 0x80, 0x100, 0x800):  # ECE, CWR, NS, reserved
+        raw = TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=5, flags=bit).encode()
+        assert struct.unpack_from("!H", raw, 12)[0] == 0x5000 | bit
+        assert TcpHeader.decode(raw).flags == bit
 
 
 def test_data_offset_must_cover_options():
     with pytest.raises(ValueError):
-        TcpHeader(
-            src_port=1,
-            dst_port=2,
-            seq=0,
-            ack=0,
-            data_offset=5,
-            options=(TcpOption(TCP_OPT_MSS, b"\x05\xb4"),),
-        )
+        TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=5, options=MSS_1460)
     with pytest.raises(ValueError):
         TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=6)
 
@@ -170,44 +175,58 @@ def test_tcp_header_round_trip_with_mss():
         seq=12345,
         ack=0,
         data_offset=6,
-        flag_syn=True,
+        flags=TCP_SYN,
         window=64240,
-        options=(TcpOption(TCP_OPT_MSS, b"\x05\xb4"),),
+        options=MSS_1460,
     )
     back = TcpHeader.decode(hdr.encode())
     assert back == hdr
-    assert back.find_option(TCP_OPT_MSS).payload == b"\x05\xb4"
+    assert back.options == MSS_1460
 
 
-def test_tcp_option_kind_must_fit_a_byte():
-    with pytest.raises(ValueError):
-        TcpOption(256)
-    with pytest.raises(ValueError):
-        TcpOption(-1)
+@st.composite
+def wire_frames(draw):
+    """IPv4 frames packed by hand, not by the encoders under test: every IP
+    and TCP flag bit, arbitrary option bytes, fragments included."""
+    ip_options = draw(option_blocks())
+    ihl = 5 + len(ip_options) // 4
+    ip_flags = draw(st.integers(0, 7))
+    frag_offset = draw(st.one_of(st.just(0), st.integers(0, 8000)))
+    if ip_flags & IP_MF or frag_offset:
+        body = draw(st.binary(max_size=300))
+    else:
+        tcp_options = draw(option_blocks())
+        body = struct.pack(
+            "!HHIIHHHH",
+            draw(st.integers(0, 0xFFFF)),
+            draw(st.integers(0, 0xFFFF)),
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.integers(0, 2**32 - 1)),
+            (5 + len(tcp_options) // 4) << 12 | draw(st.integers(0, 0xFFF)),
+            draw(st.integers(0, 0xFFFF)),
+            draw(st.integers(0, 0xFFFF)),
+            draw(st.integers(0, 0xFFFF)),
+        ) + tcp_options + draw(st.binary(max_size=200))
+    return struct.pack(
+        "!BBHHHBBHII",
+        0x40 | ihl,
+        draw(st.integers(0, 255)),
+        ihl * 4 + len(body),
+        draw(st.integers(0, 0xFFFF)),
+        ip_flags << 13 | frag_offset,
+        draw(st.integers(0, 255)),
+        6,
+        draw(st.integers(0, 0xFFFF)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(0, 2**32 - 1)),
+    ) + ip_options + body
 
 
-def test_tcp_header_validation_encodes_no_options(monkeypatch):
-    calls = []
-
-    def counting_encode(options):
-        calls.append(options)
-        return encode_tcp_options(options)
-
-    monkeypatch.setattr("evasionlab.packets.encode_tcp_options", counting_encode)
-    options = pad_tcp_options(
-        [TcpOption(TCP_OPT_MSS, b"\x05\xb4"), TcpOption(TCP_OPT_TIMESTAMP, bytes(8))]
-    )
-    hdr = TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=9, options=options)
-    moved = evolve(hdr, seq=7)
-    raw = moved.encode()
-    assert len(calls) == 1
-    assert TcpHeader.decode(raw) == moved
-    assert len(calls) == 1
-
-
-def test_find_option_missing():
-    hdr = TcpHeader(src_port=1, dst_port=2, seq=0, ack=0, data_offset=5)
-    assert hdr.find_option(TCP_OPT_MSS) is None
+@given(wire_frames())
+def test_decode_then_encode_gives_back_the_frame(frame):
+    pkt = PacketRecord.decode(frame)
+    assert pkt.encode() == frame
+    assert (pkt.tcp is None) == pkt.is_fragment
 
 
 # -- packet records ---------------------------------------------------------
@@ -290,7 +309,7 @@ def assert_same_copy(obj, changes):
 IP_CHANGES = st.fixed_dictionaries({}, optional={
     "tos": st.integers(0, 255),
     "identification": st.integers(0, 0xFFFF),
-    "flag_df": st.booleans(),
+    "flags": st.integers(0, 7),
     "ttl": st.integers(0, 255),
     "checksum": st.integers(0, 0xFFFF),
     "src_addr": st.integers(0, 2**32 - 1),
@@ -302,9 +321,7 @@ TCP_CHANGES = st.fixed_dictionaries({}, optional={
     "dst_port": st.integers(0, 0xFFFF),
     "seq": st.integers(0, 2**32 - 1),
     "ack": st.integers(0, 2**32 - 1),
-    "flag_fin": st.booleans(),
-    "flag_rst": st.booleans(),
-    "flag_urg": st.booleans(),
+    "flags": st.integers(0, 0xFFF),
     "window": st.integers(0, 0xFFFF),
     "checksum": st.integers(0, 0xFFFF),
     "urgent": st.integers(0, 0xFFFF),

@@ -1,24 +1,42 @@
 """Capture file reading, writing, and flow grouping."""
 
+import hashlib
 import io
 import struct
-from dataclasses import replace
+from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evasionlab.errors import BadMagicError, EvasionLabError, TruncatedFileError
-from evasionlab.features import feature_matrix
-from evasionlab.packets import Ipv4Header, encode_tcp_options
+from evasionlab.features import ABSENT, feature_matrix
+from evasionlab.packets import Ipv4Header
 from evasionlab.pcapio import (
     CaptureStats,
     group_flows,
     read_pcap,
     write_pcap,
 )
-from evasionlab.synth import EvasionLabel, SynthParams, apply_evasion, generate_clean_flow
-from helpers import DPORT, DST, SPORT, SRC, make_fragment, make_ip, make_packet
+from evasionlab.receiver import normalize_receive
+from evasionlab.synth import (
+    EvasionLabel,
+    SynthParams,
+    apply_evasion,
+    build_labeled_corpus,
+    generate_clean_flow,
+)
+from helpers import (
+    DPORT,
+    DST,
+    SPORT,
+    SRC,
+    make_fragment,
+    make_ip,
+    make_packet,
+    wire_packet,
+)
 
 
 def roundtrip(packets):
@@ -192,27 +210,22 @@ def test_each_frame_decodes_its_ip_header_once(monkeypatch):
     assert len(calls) == len(trace.packets)
 
 
+@pytest.mark.parametrize("options, mss, wscale, tsval", [
+    pytest.param(b"\x01\x03\x03\x07\x02\x09\x05\xb4", ABSENT, 7, 0, id="length-past-end"),
+    pytest.param(b"\x02\x04\x05\xb4\x08\x01\x00\x00", 1460, ABSENT, 1, id="length-below-2"),
+    pytest.param(b"\x01\x01\x01\x08", ABSENT, ABSENT, 1, id="length-missing"),
+    pytest.param(b"\x03\x03\x02\x00\x02\x04\x01\x00", ABSENT, 2, 0, id="after-eol"),
+    pytest.param(b"\x02\x04\x05\xb4\x02\x04\x01\x00", 1460, ABSENT, 0, id="first-kept"),
+])
+def test_tcp_option_contents_never_skip_a_frame(options, mss, wscale, tsval):
+    frame = wire_packet(b"data", seq=1000, tcp_options=options)
+    cap = read_pcap(io.BytesIO(capture_bytes([make_packet(10, b"keep")], [ipv4_frame(frame)])))
+    assert cap.stats == CaptureStats(packets_total=2, packets_tcp=2)
+    assert cap.records[1].encode() == frame
+    row = feature_matrix(group_flows(cap.records)[0])[1]
+    assert row[4] == 1  # the checksum covers the option bytes as sent
+    assert row[10:13].tolist() == [mss, wscale, tsval]
 
-def test_read_to_features_encodes_each_tcp_option_block_once(monkeypatch):
-    packets = (
-        apply_evasion(generate_clean_flow(7, 6), EvasionLabel.TCP_OPT, SynthParams()).packets
-        + apply_evasion(generate_clean_flow(8, 6), EvasionLabel.IP_FRAG, SynthParams()).packets
-    )
-    raw = capture_bytes(packets)
-    calls = []
-
-    def counting_encode(options):
-        calls.append(options)
-        return encode_tcp_options(options)
-
-    monkeypatch.setattr("evasionlab.packets.encode_tcp_options", counting_encode)
-    cap = read_pcap(io.BytesIO(raw))
-    assert calls == []  # decoding validates option lengths without encoding
-    for flow in group_flows(cap.records):
-        feature_matrix(flow)
-    # one encode per TCP header, for its checksum; fragments carry none
-    assert len(calls) == sum(p.tcp is not None for p in cap.records)
-    assert any(calls)
 
 def _udp_frame():
     ip = replace(make_ip(12, tcp_len=0), protocol=17).with_checksum()
@@ -267,3 +280,48 @@ def test_mutated_capture_raises_only_typed_errors(flips):
             feature_matrix(flow)
     except EvasionLabError:
         pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_MUTATION_BASE) - 1), st.integers(1, 255)),
+                min_size=1, max_size=3))
+def test_receiver_on_mutated_capture_raises_only_typed_errors(flips):
+    raw = bytearray(_MUTATION_BASE)
+    for index, mask in flips:
+        raw[index] ^= mask
+    try:
+        cap = read_pcap(io.BytesIO(bytes(raw)))
+    except EvasionLabError:
+        return
+    for flow in group_flows(cap.records):
+        try:
+            normalize_receive(flow)
+        except EvasionLabError:
+            pass
+
+
+# Recorded before headers kept their wire bits; decoding synthesized traffic
+# must read the same stats and features whatever the header model.
+GOLDEN_DECODE = {
+    "plain": "93567cd87a9d681353724400fddf1dc6c1990b7007198ce79b47d1c170966661",
+    "overlap": "ebffdfd5c92f9bc8cae3a4bc9059e36f55bc1918c0d90df0ebe2a3f8048a29c8",
+    "detect": "c182b7c5bfb216278f1c5f17bf2135e2522085a09f86ae463fa0022cda20c8d1",
+}
+_DECODE_CORPORA = {
+    "plain": (SynthParams(), {}),
+    "overlap": (SynthParams(overlap=True), {}),
+    "detect": (SynthParams(frag_units=8, seg_bytes=64),
+               {"n_packets_range": (12, 24), "payload_len_range": (128, 512)}),
+}
+
+
+@pytest.mark.parametrize("name", list(_DECODE_CORPORA))
+def test_decode_path_matches_golden(name):
+    params, kwargs = _DECODE_CORPORA[name]
+    corpus = build_labeled_corpus(2, params, seed=2024, **kwargs)
+    cap = roundtrip([p for trace, _ in corpus for p in trace.packets])
+    digest = hashlib.sha256(repr(astuple(cap.stats)).encode())
+    for flow in group_flows(cap.records):
+        digest.update(repr((flow.key, len(flow))).encode())
+        digest.update(np.ascontiguousarray(feature_matrix(flow), dtype="<f4").tobytes())
+    assert digest.hexdigest() == GOLDEN_DECODE[name]

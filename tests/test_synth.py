@@ -13,7 +13,18 @@ import pytest
 
 from evasionlab.errors import EmptyPayloadError
 from evasionlab.features import feature_matrix
-from evasionlab.packets import FlowTrace, Ipv4Header, PacketRecord, TcpHeader, evolve
+from evasionlab.packets import (
+    IP_DF,
+    IP_MF,
+    TCP_ACK,
+    TCP_PSH,
+    TCP_SYN,
+    FlowTrace,
+    Ipv4Header,
+    PacketRecord,
+    TcpHeader,
+    evolve,
+)
 from evasionlab.pcapio import write_pcap
 from evasionlab.receiver import normalize_receive
 from evasionlab.synth import (
@@ -61,14 +72,14 @@ def test_label_tags_round_trip():
 def test_clean_flow_shape():
     trace = clean(n=6)
     assert len(trace.packets) == 6
-    assert trace.packets[0].tcp.flag_syn
+    assert trace.packets[0].tcp.flags == TCP_SYN
     assert not trace.packets[0].payload
     for pkt in trace.packets[1:]:
-        assert not pkt.tcp.flag_syn
+        assert pkt.tcp.flags == TCP_PSH | TCP_ACK
         assert 16 <= len(pkt.payload) <= 64
         assert pkt.ip.ttl == 64
         assert pkt.ip.tos == 0
-        assert pkt.ip.flag_df
+        assert pkt.ip.flags == IP_DF
         assert pkt.ip.checksum_valid()
         assert pkt.tcp_checksum_valid()
 
@@ -152,10 +163,9 @@ def test_ip_frag_offsets_for_24_byte_section():
     out = apply_evasion(trace, EvasionLabel.IP_FRAG, params(frag_units=1))
     frags = out.packets[1:]
     assert [f.ip.frag_offset for f in frags] == [0, 1, 2]
-    assert [f.ip.flag_mf for f in frags] == [True, True, False]
+    assert [f.ip.flags for f in frags] == [IP_MF, IP_MF, 0]  # DF cleared
     assert all(len(f.payload) == 8 for f in frags)
     assert all(f.tcp is None for f in frags)
-    assert all(not f.ip.flag_df for f in frags)
 
 
 def test_ip_frag_units_scale_fragment_size():
@@ -202,21 +212,18 @@ def test_ip_tos_cycles_configured_values():
 
 
 def test_tcp_opt_syn_gets_mss():
-    from evasionlab.packets import TCP_OPT_MSS, TCP_OPT_TIMESTAMP
-
     trace = clean()
     out = apply_evasion(trace, EvasionLabel.TCP_OPT, params())
     syn = out.packets[0]
     assert syn.tcp.data_offset == 6
-    mss = syn.tcp.find_option(TCP_OPT_MSS)
-    assert mss is not None
-    assert int.from_bytes(mss.payload, "big") == 1460
+    assert syn.tcp.options == b"\x02\x04\x05\xb4"  # MSS 1460
     tsvals = []
     for pkt in out.packets[1:]:
         assert pkt.tcp.data_offset == 8
-        ts_opt = pkt.tcp.find_option(TCP_OPT_TIMESTAMP)
-        assert ts_opt is not None
-        tsvals.append(int.from_bytes(ts_opt.payload[:4], "big"))
+        # NOP, NOP, timestamp (kind 8, length 10), TSval, TSecr 0
+        assert pkt.tcp.options[:4] == b"\x01\x01\x08\x0a"
+        assert pkt.tcp.options[8:] == bytes(4)
+        tsvals.append(int.from_bytes(pkt.tcp.options[4:8], "big"))
         assert pkt.tcp_checksum_valid()
     assert tsvals == sorted(tsvals)
     assert len(set(tsvals)) == len(tsvals)
