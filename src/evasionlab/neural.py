@@ -15,19 +15,24 @@ Sequence handling: batches are (B, T, D) with a 0/1 mask (B, T) marking
 real steps; padding is always at the tail. Masked steps carry the previous
 state forward, so the state after step T-1 is the state at the last real
 step. The backward direction runs the same cell over each sample's
-reversed valid prefix (reverse_padded); the padded tail stays in place.
+reversed valid prefix; the padded tail stays in place.
 
 Scan layout: inside forward and backward everything is time-major. Each
-direction projects its whole input in one product, x (T*B, D) @ w_x.T + b,
-into a (T, B, 4H) gate slab; each step then adds one recurrent product
-into its (B, 4H) row block and activates it with one tanh call
-(sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5 on i, f, o). The backward
-direction reads its input through one gather index built from the
-lengths per forward call, and the same index puts its outputs and
-gradients back in input order. The tape keeps, per layer, the time-major
-input and, per direction, the activated gate slab, the carried c and h,
-and tanh of each step's fresh cell state; BPTT fills a gradient slab of
-the same (T, B, 4H) layout.
+forward call allocates one float64 block that holds, for every layer and
+direction, the activated gate slab (T, B, 4H) and the carried c, the
+carried h and tanh of each step's fresh cell state (each (T, B, H));
+each direction's scan takes its slabs as views of the block, as the cell
+tensors are views of params. Nothing is pooled or reused across calls:
+the tape's caches view the block and keep it alive for backward. Each
+direction projects its whole input in one product, x (T*B, D) @ w_x.T,
+written into its gate slab, then adds b; each step then adds one
+recurrent product into its (B, 4H) row block and activates it with one
+tanh call (sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5 on i, f, o). The
+backward direction reads its input through one gather index built from
+the lengths per forward call, and the same index puts its outputs and
+gradients back in input order. The tape also keeps each layer's
+time-major input; BPTT fills a gradient slab of the same (T, B, 4H)
+layout.
 """
 
 from __future__ import annotations
@@ -163,42 +168,17 @@ def _activate_gates(a: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> None
     a += shift
 
 
-def lstm_cell_forward(
-    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmCellParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """One cell step on vectors (or batches of vectors along axis 0): (h, c)."""
-    h = p.hidden
-    if x.shape[-1] != p.w_x.shape[1] or h_prev.shape[-1] != h or c_prev.shape[-1] != h:
-        raise ShapeMismatchError(
-            f"cell shapes: x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
-            f"vs w_x {p.w_x.shape}, w_h {p.w_h.shape}"
-        )
-    gates = x @ p.w_x.T + h_prev @ p.w_h.T + p.b
-    _activate_gates(gates, *_gate_constants(h))
-    i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
-
-
 def _reversed_steps(lengths: np.ndarray, t_len: int) -> np.ndarray:
-    """(B, T): the step reverse_padded reads for each output step."""
+    """(B, T): the input step each output step reads when each sample's
+    first lengths[b] steps are reversed and the padded tail stays in place."""
     steps = np.arange(t_len)
     n = np.asarray(lengths)[:, None]
     return np.where(steps < n, n - 1 - steps, steps)
 
 
-def reverse_padded(arr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Reverse the first lengths[b] steps of each sample (B, T, ...), leave the tail.
-
-    An involution: applying it twice restores the input.
-    """
-    src = _reversed_steps(lengths, arr.shape[1])
-    return arr[np.arange(arr.shape[0])[:, None], src]
-
-
 def _time_major_reversal(lengths: np.ndarray, t_len: int) -> np.ndarray:
-    """Row index that applies reverse_padded to a time-major (T, B, K) array
-    seen as (T * B, K) rows; see _gather_rows."""
+    """Row index that reverses each sample's valid prefix of a time-major
+    (T, B, K) array seen as (T * B, K) rows; see _gather_rows."""
     b_sz = len(lengths)
     return (_reversed_steps(lengths, t_len).T * b_sz + np.arange(b_sz)).ravel()
 
@@ -283,19 +263,21 @@ class BiLstmModel:
     # -- forward ------------------------------------------------------------
 
     def _run_direction(
-        self, z: np.ndarray, pad: np.ndarray, cell: LstmCellParams
+        self, z: np.ndarray, pad: np.ndarray, cell: LstmCellParams, block: np.ndarray
     ) -> _DirectionCache:
         """Scan one cell over time-major inputs z (T, B, D); pad (T, B, 1)
-        marks padded steps, which carry the previous state."""
+        marks padded steps, which carry the previous state. block (7, T, B, H)
+        holds the scan's slabs: the gates in its first four (T, B, H) planes,
+        read as one (T, B, 4H) slab, then c, h and tanh_c."""
         t_len, b_sz, d = z.shape
         h = cell.hidden
         scale, shift = _gate_constants(h)
-        gates = (z.reshape(-1, d) @ cell.w_x.T).reshape(t_len, b_sz, 4 * h)
-        gates += cell.b
-        shape = (t_len, b_sz, h)
         cache = _DirectionCache(
-            gates=gates, c=np.empty(shape), h=np.empty(shape), tanh_c=np.empty(shape)
+            block[:4].reshape(t_len, b_sz, 4 * h), block[4], block[5], block[6]
         )
+        gates = cache.gates
+        np.matmul(z.reshape(-1, d), cell.w_x.T, out=gates.reshape(-1, 4 * h))
+        gates += cell.b
         w_h_t = cell.w_h.T
         for t in range(t_len):
             a = gates[t]
@@ -340,6 +322,8 @@ class BiLstmModel:
 
         b_sz, t_len = mask.shape
         pad = (mask.T == 0.0)[:, :, None]
+        # one block for every scan's slabs; the tape's caches keep it alive
+        blocks = np.empty((cfg.layers, cfg.directions, 7, t_len, b_sz, cfg.hidden))
         reversal = _time_major_reversal(lengths, t_len) if cfg.bidirectional else None
         layer_inputs: list[np.ndarray] = []
         caches: list[list[_DirectionCache]] = []
@@ -347,10 +331,12 @@ class BiLstmModel:
         cur = np.ascontiguousarray(x.transpose(1, 0, 2))
         for li, cells in enumerate(self.layers):
             layer_inputs.append(cur)
-            layer_caches = [self._run_direction(cur, pad, cells[0])]
+            layer_caches = [self._run_direction(cur, pad, cells[0], blocks[li, 0])]
             if reversal is not None:
                 layer_caches.append(
-                    self._run_direction(_gather_rows(cur, reversal), pad, cells[1])
+                    self._run_direction(
+                        _gather_rows(cur, reversal), pad, cells[1], blocks[li, 1]
+                    )
                 )
                 out = np.concatenate(
                     [layer_caches[0].h, _gather_rows(layer_caches[1].h, reversal)], axis=2
@@ -683,8 +669,6 @@ __all__ = [
     "LstmCellParams",
     "BiLstmModel",
     "ForwardTape",
-    "lstm_cell_forward",
-    "reverse_padded",
     "softmax",
     "softmax_xent",
     "grad_check",

@@ -48,6 +48,9 @@ IP_OPT_RECORD_ROUTE = 7
 IP_OPT_LSRR = 131
 IP_OPT_SSRR = 137
 
+_IP_FIXED = struct.Struct("!BBHHHBBHII")  # the 20 bytes before the IP options
+_TCP_FIXED = struct.Struct("!HHIIHHHH")  # the 20 bytes before the TCP options
+
 # bits of Ipv4Header.flags
 IP_MF = 0x1
 IP_DF = 0x2
@@ -211,8 +214,7 @@ class Ipv4Header:
 
     def encode(self) -> bytes:
         return (
-            struct.pack(
-                "!BBHHHBBHII",
+            _IP_FIXED.pack(
                 (self.version << 4) | self.ihl,
                 self.tos,
                 self.total_length,
@@ -228,28 +230,21 @@ class Ipv4Header:
         )
 
     @classmethod
-    def decode(cls, data: bytes) -> "Ipv4Header":
-        if len(data) < 20:
-            raise ValueError(f"IPv4 header needs 20 bytes, got {len(data)}")
+    def decode(cls, data: bytes, start: int = 0, end: int | None = None) -> "Ipv4Header":
+        """The header at the start of ``data[start:end]``."""
+        if end is None:
+            end = len(data)
+        if end - start < 20:
+            raise ValueError(f"IPv4 header needs 20 bytes, got {max(end - start, 0)}")
         (ver_ihl, tos, total_length, ident, flags_frag, ttl, proto, checksum,
-         src, dst) = struct.unpack("!BBHHHBBHII", data[:20])
+         src, dst) = _IP_FIXED.unpack_from(data, start)
         ihl = ver_ihl & 0x0F
-        if len(data) < ihl * 4:
+        if end - start < ihl * 4:
             raise ValueError("buffer shorter than declared header length")
         return cls(
-            version=ver_ihl >> 4,
-            ihl=ihl,
-            tos=tos,
-            total_length=total_length,
-            identification=ident,
-            flags=flags_frag >> 13,
-            frag_offset=flags_frag & 0x1FFF,
-            ttl=ttl,
-            protocol=proto,
-            checksum=checksum,
-            src_addr=src,
-            dst_addr=dst,
-            options=bytes(data[20 : ihl * 4]),
+            ihl, tos, total_length, ident, flags_frag >> 13, flags_frag & 0x1FFF,
+            ttl, proto, checksum, src, dst, bytes(data[start + 20 : start + ihl * 4]),
+            ver_ihl >> 4,
         )
 
     def _zeroed_checksum(self) -> int:
@@ -312,8 +307,7 @@ class TcpHeader:
 
     def encode(self) -> bytes:
         return (
-            struct.pack(
-                "!HHIIHHHH",
+            _TCP_FIXED.pack(
                 self.src_port,
                 self.dst_port,
                 self.seq,
@@ -327,25 +321,20 @@ class TcpHeader:
         )
 
     @classmethod
-    def decode(cls, data: bytes) -> "TcpHeader":
-        if len(data) < 20:
-            raise ValueError(f"TCP header needs 20 bytes, got {len(data)}")
+    def decode(cls, data: bytes, start: int = 0, end: int | None = None) -> "TcpHeader":
+        """The header at the start of ``data[start:end]``."""
+        if end is None:
+            end = len(data)
+        if end - start < 20:
+            raise ValueError(f"TCP header needs 20 bytes, got {max(end - start, 0)}")
         (src_port, dst_port, seq, ack, off_flags, window, checksum,
-         urgent) = struct.unpack("!HHIIHHHH", data[:20])
+         urgent) = _TCP_FIXED.unpack_from(data, start)
         data_offset = off_flags >> 12
-        if data_offset < 5 or len(data) < data_offset * 4:
+        if data_offset < 5 or end - start < data_offset * 4:
             raise ValueError("buffer shorter than declared TCP header length")
         return cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            data_offset=data_offset,
-            flags=off_flags & 0xFFF,
-            window=window,
-            checksum=checksum,
-            urgent=urgent,
-            options=bytes(data[20 : data_offset * 4]),
+            src_port, dst_port, seq, ack, data_offset, off_flags & 0xFFF, window,
+            checksum, urgent, bytes(data[start + 20 : start + data_offset * 4]),
         )
 
     def _write_checksum(
@@ -405,15 +394,22 @@ class PacketRecord:
         return self.ip.encode() + self.ip_payload()
 
     @classmethod
-    def decode(cls, data: bytes, ts: float = 0.0) -> "PacketRecord":
-        ip = Ipv4Header.decode(data)
-        if len(data) < ip.total_length:
+    def decode(
+        cls, data: bytes, ts: float = 0.0, start: int = 0, end: int | None = None
+    ) -> "PacketRecord":
+        """The packet at the start of ``data[start:end]``; bytes past its
+        ``total_length`` are ignored."""
+        if end is None:
+            end = len(data)
+        ip = Ipv4Header.decode(data, start, end)
+        stop = start + ip.total_length
+        if end < stop:
             raise ValueError("buffer shorter than ip.total_length")
-        body = data[ip.header_length : ip.total_length]
+        body = start + ip.ihl * 4
         if ip.protocol == IPPROTO_TCP and not ip.flags & IP_MF and ip.frag_offset == 0:
-            tcp = TcpHeader.decode(body)
-            return cls(ts=ts, ip=ip, tcp=tcp, payload=bytes(body[tcp.header_length :]))
-        return cls(ts=ts, ip=ip, tcp=None, payload=bytes(body))
+            tcp = TcpHeader.decode(data, body, stop)
+            return cls(ts, ip, tcp, bytes(data[body + tcp.data_offset * 4 : stop]))
+        return cls(ts, ip, None, bytes(data[body:stop]))
 
     def with_checksums(
         self,

@@ -1,6 +1,11 @@
 """Classic pcap (v2.4) reading and writing over an Ethernet link layer.
 
 Both byte orders are accepted on read, detected from the magic number.
+A capture is read whole, with one ``read()`` call that runs to the end of
+the stream, however short the stream's reads; every frame is then decoded
+from that one buffer at its offsets: record headers with one compiled
+``Struct``, IP and TCP headers by :meth:`PacketRecord.decode` over the
+frame's bounds. Only header options and payloads are copied out of it.
 Writes always use the little-endian magic with microsecond timestamps.
 Only IPv4/TCP packets become :class:`PacketRecord` entries; everything
 else is skipped and counted.
@@ -34,6 +39,7 @@ MAC_DST = bytes.fromhex("020000000002")
 
 GLOBAL_HEADER = struct.Struct("IHHiIII")  # magic, major, minor, tz, sigfigs, snaplen, network
 RECORD_HEADER = struct.Struct("IIII")  # ts_sec, ts_usec, incl_len, orig_len
+_ETHERTYPE = struct.Struct("!H")
 
 
 @dataclass
@@ -54,64 +60,58 @@ class Capture:
     stats: CaptureStats = field(default_factory=CaptureStats)
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TruncatedFileError(f"expected {n} bytes for {what}, got {len(data)}")
-    return data
-
-
 def read_pcap(fh: BinaryIO) -> Capture:
     """Parse a classic pcap stream into IPv4/TCP packet records."""
-    header = fh.read(GLOBAL_HEADER.size)
-    if len(header) < GLOBAL_HEADER.size:
+    data = fh.read()
+    if len(data) < GLOBAL_HEADER.size:
         raise TruncatedFileError(
-            f"pcap global header needs {GLOBAL_HEADER.size} bytes, got {len(header)}"
+            f"pcap global header needs {GLOBAL_HEADER.size} bytes, got {len(data)}"
         )
-    magic_le = struct.unpack("<I", header[:4])[0]
+    (magic_le,) = struct.unpack_from("<I", data)
     if magic_le == PCAP_MAGIC_LE:
         endian = "<"
     elif magic_le == PCAP_MAGIC_BE:
         endian = ">"
     else:
         raise BadMagicError(f"not a classic pcap file (magic 0x{magic_le:08x})")
-    _magic, _major, _minor, _tz, _sig, _snaplen, network = struct.unpack(
-        endian + GLOBAL_HEADER.format, header
-    )
+    network = struct.unpack_from(endian + GLOBAL_HEADER.format, data)[-1]
     if network != LINKTYPE_ETHERNET:
         raise BadMagicError(f"unsupported link type {network}, want Ethernet (1)")
 
-    record_fmt = endian + RECORD_HEADER.format
+    unpack_record = struct.Struct(endian + RECORD_HEADER.format).unpack_from
     stats = CaptureStats()
     records: list[PacketRecord] = []
-    while True:
-        rec_header = fh.read(RECORD_HEADER.size)
-        if not rec_header:
-            break
-        if len(rec_header) < RECORD_HEADER.size:
+    pos, size = GLOBAL_HEADER.size, len(data)
+    while pos < size:
+        if size - pos < RECORD_HEADER.size:
             raise TruncatedFileError("pcap record header truncated at end of file")
-        ts_sec, ts_usec, incl_len, _orig_len = struct.unpack(record_fmt, rec_header)
-        frame = _read_exact(fh, incl_len, "pcap record body")
+        ts_sec, ts_usec, incl_len, _orig_len = unpack_record(data, pos)
+        start = pos + RECORD_HEADER.size
+        pos = start + incl_len
+        if pos > size:
+            raise TruncatedFileError(
+                f"expected {incl_len} bytes for pcap record body, got {size - start}"
+            )
         stats.packets_total += 1
-        ts = ts_sec + ts_usec / 1_000_000
-        pkt = _decode_frame(frame, ts, stats)
+        pkt = _decode_frame(data, start, pos, ts_sec + ts_usec / 1_000_000, stats)
         if pkt is not None:
             records.append(pkt)
     return Capture(records=records, stats=stats)
 
 
-def _decode_frame(frame: bytes, ts: float, stats: CaptureStats) -> PacketRecord | None:
-    if len(frame) < ETH_HEADER_LEN:
-        stats.packets_skipped += 1
-        stats.skipped_link += 1
-        return None
-    ethertype = struct.unpack("!H", frame[12:14])[0]
-    if ethertype != ETHERTYPE_IPV4:
+def _decode_frame(
+    data: bytes, start: int, end: int, ts: float, stats: CaptureStats
+) -> PacketRecord | None:
+    """Decode the Ethernet frame ``data[start:end]``, or count why not."""
+    if (
+        end - start < ETH_HEADER_LEN
+        or _ETHERTYPE.unpack_from(data, start + 12)[0] != ETHERTYPE_IPV4
+    ):
         stats.packets_skipped += 1
         stats.skipped_link += 1
         return None
     try:
-        pkt = PacketRecord.decode(frame[ETH_HEADER_LEN:], ts=ts)
+        pkt = PacketRecord.decode(data, ts, start + ETH_HEADER_LEN, end)
     except ValueError:
         pkt = None
     if pkt is None or pkt.ip.protocol != IPPROTO_TCP:
@@ -127,7 +127,7 @@ def write_pcap(fh: BinaryIO, packets: list[PacketRecord], snaplen: int = 65535) 
     fh.write(
         GLOBAL_HEADER.pack(PCAP_MAGIC_LE, 2, 4, 0, 0, snaplen, LINKTYPE_ETHERNET)
     )
-    eth = MAC_DST + MAC_SRC + struct.pack("!H", ETHERTYPE_IPV4)
+    eth = MAC_DST + MAC_SRC + _ETHERTYPE.pack(ETHERTYPE_IPV4)
     for pkt in packets:
         frame = eth + pkt.encode()
         ts_sec = int(pkt.ts)

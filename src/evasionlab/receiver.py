@@ -43,6 +43,10 @@ def _claim(buf: bytearray, have: bytearray, start: int, data: bytes) -> None:
     if end > len(buf):
         buf.extend(b"\x00" * (end - len(buf)))
         have.extend(b"\x00" * (end - len(have)))
+    if have.find(1, start, end) == -1:  # nothing claimed yet: take the slice
+        buf[start:end] = data
+        have[start:end] = b"\x01" * len(data)
+        return
     for i, byte in enumerate(data):
         pos = start + i
         if not have[pos]:

@@ -7,8 +7,11 @@ structures.
 
 import struct
 
+import numpy as np
 from hypothesis import strategies as st
 
+from evasionlab.errors import ShapeMismatchError
+from evasionlab.neural import LstmCellParams, _gather_rows, _time_major_reversal
 from evasionlab.packets import (
     IP_DF,
     IP_MF,
@@ -203,3 +206,35 @@ def random_packets(draw):
         options=draw(st.binary(min_size=(ihl - 5) * 4, max_size=(ihl - 5) * 4)),
     )
     return PacketRecord(ts=0.0, ip=ip, tcp=tcp, payload=payload)
+
+
+def lstm_cell_forward(
+    x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: LstmCellParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM cell step on vectors (or batches of vectors along axis 0):
+    (h, c), the reference for the model's scan. Gate blocks are [i f g o];
+    sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, which saturates instead of
+    overflowing."""
+    h = p.hidden
+    if x.shape[-1] != p.w_x.shape[1] or h_prev.shape[-1] != h or c_prev.shape[-1] != h:
+        raise ShapeMismatchError(
+            f"cell shapes: x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
+            f"vs w_x {p.w_x.shape}, w_h {p.w_h.shape}"
+        )
+    gates = x @ p.w_x.T + h_prev @ p.w_h.T + p.b
+    i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
+
+    def sigmoid(a):
+        return 0.5 * np.tanh(0.5 * a) + 0.5
+
+    c = sigmoid(f) * c_prev + sigmoid(i) * np.tanh(g)
+    return sigmoid(o) * np.tanh(c), c
+
+
+def reverse_padded(arr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Reverse the first lengths[b] steps of each sample (B, T, ...), leave
+    the tail, through the row index the model's backward direction gathers
+    its time-major input with."""
+    rows = _time_major_reversal(lengths, arr.shape[1])
+    time_major = np.ascontiguousarray(np.swapaxes(arr, 0, 1))
+    return np.swapaxes(_gather_rows(time_major, rows), 0, 1)

@@ -32,12 +32,11 @@ from evasionlab.neural import (
     ModelConfig,
     grad_check,
     load_model,
-    lstm_cell_forward,
-    reverse_padded,
     save_model,
     softmax,
     softmax_xent,
 )
+from helpers import lstm_cell_forward, reverse_padded
 
 ATANH_HALF = 0.5493061443340548  # atanh(0.5)
 
@@ -213,6 +212,23 @@ def test_forward_matches_reference_scan(config):
     x, mask, _ = ragged_batch(config, seed=22)
     logits, _ = model.forward(x, mask)
     assert np.max(np.abs(logits - reference_logits(model, x, mask))) < 1e-12
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_tape_outlives_a_later_forward_of_another_shape(config):
+    model = BiLstmModel.initialize(config, seed=31)
+    x, mask, labels = ragged_batch(config, seed=32)
+    _, tape = model.forward(x, mask)
+    slabs = [a for layer in tape.caches for cache in layer
+             for a in (cache.gates, cache.c, cache.h, cache.tanh_c)]
+    assert slabs[0].base is not None
+    assert all(slab.base is slabs[0].base for slab in slabs)
+
+    other = np.random.default_rng(33).normal(size=(3, config.frame - 1, config.input_dim))
+    model.forward(other, np.ones((3, config.frame - 1)))
+    grads = model.backward(tape, labels)
+    fresh = model.backward(model.forward(x, mask)[1], labels)
+    assert grads.tobytes() == fresh.tobytes()
 
 
 def central_differences(model, x, mask, labels, eps=1e-5):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import random
 import struct
 from dataclasses import astuple, replace
 
@@ -112,6 +113,33 @@ def test_truncated_record_body():
         read_pcap(io.BytesIO(raw[:-3]))
 
 
+class _ShortReads(io.RawIOBase):
+    """A stream whose every read returns at most 7 bytes, as a pipe or
+    socket may."""
+
+    def __init__(self, data):
+        self._data = data
+        self._pos = 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), 7, len(self._data) - self._pos)
+        buf[:n] = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return n
+
+
+def test_short_reads_are_not_truncation():
+    trace = generate_clean_flow(4, 8)
+    buf = io.BytesIO()
+    write_pcap(buf, trace.packets)
+    cap = read_pcap(_ShortReads(buf.getvalue()))
+    assert cap == read_pcap(io.BytesIO(buf.getvalue()))
+    assert cap.stats.packets_tcp == 8
+
+
 def test_non_ip_frames_skipped_not_fatal():
     buf = io.BytesIO()
     write_pcap(buf, [make_packet(10, b"keep")])
@@ -200,9 +228,9 @@ def test_each_frame_decodes_its_ip_header_once(monkeypatch):
     decode = Ipv4Header.decode
     calls = []
 
-    def counting_decode(cls, data):
-        calls.append(len(data))
-        return decode(data)
+    def counting_decode(cls, data, *bounds):
+        calls.append(bounds)
+        return decode(data, *bounds)
 
     monkeypatch.setattr(Ipv4Header, "decode", classmethod(counting_decode))
     cap = read_pcap(io.BytesIO(raw))
@@ -325,3 +353,38 @@ def test_decode_path_matches_golden(name):
         digest.update(repr((flow.key, len(flow))).encode())
         digest.update(np.ascontiguousarray(feature_matrix(flow), dtype="<f4").tobytes())
     assert digest.hexdigest() == GOLDEN_DECODE[name]
+
+
+def _mutated_captures(count=600, seed=12):
+    """A fixed list of byte-flipped, cut, and flipped-then-cut copies of
+    _MUTATION_BASE, cuts landing anywhere from the global header to the
+    last byte."""
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        raw = bytearray(_MUTATION_BASE)
+        if k % 3 != 1:
+            for _ in range(rng.randint(1, 3)):
+                raw[rng.randrange(len(raw))] ^= rng.randint(1, 255)
+        if k % 3 != 0:
+            del raw[rng.randrange(len(raw)) :]
+        cases.append(bytes(raw))
+    return cases
+
+
+# Recorded before the capture was read whole: each mutated capture must
+# read the same stats and records, or raise the same error with the same
+# message.
+GOLDEN_MUTATED = "a5a15ea79df0c8c854d9488fce1f35572e420fc21106db57a853a6275603eb4a"
+
+
+def test_mutated_captures_read_as_golden():
+    digest = hashlib.sha256()
+    for raw in _mutated_captures():
+        try:
+            cap = read_pcap(io.BytesIO(raw))
+        except EvasionLabError as exc:
+            digest.update(repr((type(exc).__name__, str(exc))).encode())
+        else:
+            digest.update(repr((astuple(cap.stats), cap.records)).encode())
+    assert digest.hexdigest() == GOLDEN_MUTATED

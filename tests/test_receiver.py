@@ -8,10 +8,12 @@ reassemble, and which malformed flows are rejected outright.
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evasionlab.errors import IncompleteStreamError
 from evasionlab.packets import FlowTrace, PacketRecord
-from evasionlab.receiver import normalize_receive
+from evasionlab.receiver import _claim, normalize_receive
 from helpers import SRC, SPORT, DST, DPORT, handshake_trace, make_fragment, make_packet
 
 
@@ -179,3 +181,26 @@ def test_gap_in_stream_is_fatal():
     far = make_packet(1001 + 50, b"island", ts=0.01, ident=2)
     with pytest.raises(IncompleteStreamError):
         normalize_receive(FlowTrace(key=KEY, packets=[syn, far]))
+
+
+def claim_bytewise(buf, have, start, data):
+    """First arrival wins, one byte at a time: the reference for _claim."""
+    end = start + len(data)
+    if end > len(buf):
+        buf.extend(bytes(end - len(buf)))
+        have.extend(bytes(end - len(have)))
+    for i, byte in enumerate(data):
+        if not have[start + i]:
+            buf[start + i] = byte
+            have[start + i] = 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 48), st.binary(max_size=24)), max_size=10))
+def test_claim_matches_bytewise_first_arrival(claims):
+    buf, have = bytearray(), bytearray()
+    ref_buf, ref_have = bytearray(), bytearray()
+    for start, data in claims:
+        _claim(buf, have, start, data)
+        claim_bytewise(ref_buf, ref_have, start, data)
+        assert (buf, have) == (ref_buf, ref_have)
