@@ -25,14 +25,17 @@ each direction's scan takes its slabs as views of the block, as the cell
 tensors are views of params. Nothing is pooled or reused across calls:
 the tape's caches view the block and keep it alive for backward. Each
 direction projects its whole input in one product, x (T*B, D) @ w_x.T,
-written into its gate slab, then adds b; each step then adds one
-recurrent product into its (B, 4H) row block and activates it with one
-tanh call (sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5 on i, f, o). The
-backward direction reads its input through one gather index built from
-the lengths per forward call, and the same index puts its outputs and
-gradients back in input order. The tape also keeps each layer's
-time-major input; BPTT fills a gradient slab of the same (T, B, 4H)
-layout.
+written into its gate slab, then adds b; each step then writes one
+recurrent product into a (B, 4H) buffer that every scan of the call
+reuses, adds it into its (B, 4H) row block and activates that with one
+tanh call (sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5 on i, f, o; the model
+builds the per-column constants once). Which steps have a padded sample
+is worked out once per forward call, and only those steps make the
+masked state copies. The backward direction reads its input through one
+gather index built from the lengths per forward call, and the same index
+puts its outputs and gradients back in input order. The tape also keeps
+each layer's time-major input; BPTT fills a gradient slab of the same
+(T, B, 4H) layout.
 """
 
 from __future__ import annotations
@@ -144,7 +147,8 @@ def _xavier(rng: np.random.Generator, out: np.ndarray, fan_in: int, fan_out: int
 
 
 def _gate_constants(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column (scale, shift) of the fused [i f g o] gate activation.
+    """Per-column (scale, shift) of the fused [i f g o] gate activation,
+    read-only.
 
     sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5, so scale * tanh(scale * a) + shift
     is the logistic sigmoid on the i, f and o columns (scale 0.5, shift 0.5)
@@ -154,38 +158,23 @@ def _gate_constants(h: int) -> tuple[np.ndarray, np.ndarray]:
     scale[2 * h : 3 * h] = 1.0
     shift = np.full(4 * h, 0.5)
     shift[2 * h : 3 * h] = 0.0
+    scale.flags.writeable = shift.flags.writeable = False
     return scale, shift
 
 
-def _activate_gates(a: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> None:
-    """Turn gate pre-activations (..., 4H) into activations, in place.
-
-    tanh saturates instead of overflowing, so any finite input is safe.
-    """
-    a *= scale
-    np.tanh(a, out=a)
-    a *= scale
-    a += shift
-
-
-def _reversed_steps(lengths: np.ndarray, t_len: int) -> np.ndarray:
-    """(B, T): the input step each output step reads when each sample's
-    first lengths[b] steps are reversed and the padded tail stays in place."""
-    steps = np.arange(t_len)
-    n = np.asarray(lengths)[:, None]
-    return np.where(steps < n, n - 1 - steps, steps)
-
-
 def _time_major_reversal(lengths: np.ndarray, t_len: int) -> np.ndarray:
-    """Row index that reverses each sample's valid prefix of a time-major
-    (T, B, K) array seen as (T * B, K) rows; see _gather_rows."""
+    """Row index that reverses each sample's first lengths[b] steps of a
+    time-major (T, B, K) array seen as (T * B, K) rows and leaves the padded
+    tail in place; see _gather_rows."""
     b_sz = len(lengths)
-    return (_reversed_steps(lengths, t_len).T * b_sz + np.arange(b_sz)).ravel()
+    steps = np.arange(t_len)[:, None]
+    back = (lengths - 1) - steps  # (T, B), negative on the padded tail
+    return (np.where(back < 0, steps, back) * b_sz + np.arange(b_sz)).ravel()
 
 
 def _gather_rows(arr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """arr (T, B, K) reordered by a (T * B,) row index, as a new array."""
-    return np.take(arr.reshape(rows.size, -1), rows, axis=0).reshape(arr.shape)
+    return arr.reshape(rows.size, -1).take(rows, axis=0).reshape(arr.shape)
 
 
 @dataclass
@@ -230,6 +219,7 @@ class BiLstmModel:
         self.params = params
         self.layers, self.head_w, self.head_b = _unpack(config, params)
         self.scaler = scaler
+        self._gate_scale, self._gate_shift = _gate_constants(config.hidden)
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int) -> "BiLstmModel":
@@ -263,37 +253,51 @@ class BiLstmModel:
     # -- forward ------------------------------------------------------------
 
     def _run_direction(
-        self, z: np.ndarray, pad: np.ndarray, cell: LstmCellParams, block: np.ndarray
+        self,
+        z: np.ndarray,
+        carry: list[np.ndarray | None],
+        cell: LstmCellParams,
+        block: np.ndarray,
+        rec: np.ndarray,
     ) -> _DirectionCache:
-        """Scan one cell over time-major inputs z (T, B, D); pad (T, B, 1)
-        marks padded steps, which carry the previous state. block (7, T, B, H)
+        """Scan one cell over time-major inputs z (T, B, D). carry[t] is
+        None when no sample's step t is padded, else the (B, 1) mask of the
+        samples whose step t carries the previous state. block (7, T, B, H)
         holds the scan's slabs: the gates in its first four (T, B, H) planes,
-        read as one (T, B, 4H) slab, then c, h and tanh_c."""
+        read as one (T, B, 4H) slab, then c, h and tanh_c. rec (B, 4H) is
+        scratch for one step's recurrent product."""
         t_len, b_sz, d = z.shape
         h = cell.hidden
-        scale, shift = _gate_constants(h)
-        cache = _DirectionCache(
-            block[:4].reshape(t_len, b_sz, 4 * h), block[4], block[5], block[6]
-        )
-        gates = cache.gates
+        gates = block[:4].reshape(t_len, b_sz, 4 * h)
+        c, hs, tanh_c = block[4], block[5], block[6]
         np.matmul(z.reshape(-1, d), cell.w_x.T, out=gates.reshape(-1, 4 * h))
         gates += cell.b
+        gate_i, gate_f, gate_g, gate_o = (gates[..., k * h : (k + 1) * h] for k in range(4))
+        f_c = rec[:, :h]  # f * c_prev, written once rec is added into the gates
         w_h_t = cell.w_h.T
-        for t in range(t_len):
-            a = gates[t]
-            if t:  # the state before step 0 is zero
-                a += cache.h[t - 1] @ w_h_t
-            _activate_gates(a, scale, shift)
-            c_t, h_t = cache.c[t], cache.h[t]
-            np.multiply(a[:, :h], a[:, 2 * h : 3 * h], out=c_t)
-            if t:
-                c_t += a[:, h : 2 * h] * cache.c[t - 1]
-            np.tanh(c_t, out=cache.tanh_c[t])
-            np.multiply(a[:, 3 * h :], cache.tanh_c[t], out=h_t)
-            if t:  # step 0 is real in every sample
-                np.copyto(c_t, cache.c[t - 1], where=pad[t])
-                np.copyto(h_t, cache.h[t - 1], where=pad[t])
-        return cache
+        scale, shift = self._gate_scale, self._gate_shift
+        c_prev = h_prev = None  # the state before step 0 is zero
+        for a, i, f, g, o, c_t, h_t, tanh_t, where in zip(
+            gates, gate_i, gate_f, gate_g, gate_o, c, hs, tanh_c, carry
+        ):
+            if h_prev is not None:
+                np.matmul(h_prev, w_h_t, out=rec)
+                a += rec
+            a *= scale  # activate in place; tanh saturates, so any finite a is safe
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            np.multiply(i, g, out=c_t)
+            if c_prev is not None:
+                np.multiply(f, c_prev, out=f_c)
+                c_t += f_c
+            np.tanh(c_t, out=tanh_t)
+            np.multiply(o, tanh_t, out=h_t)
+            if where is not None:
+                np.copyto(c_t, c_prev, where=where)
+                np.copyto(h_t, h_prev, where=where)
+            c_prev, h_prev = c_t, h_t
+        return _DirectionCache(gates, c, hs, tanh_c)
 
     def forward(
         self,
@@ -313,7 +317,7 @@ class BiLstmModel:
         if mask.shape != x.shape[:2]:
             raise ShapeMismatchError(f"mask {mask.shape} does not match {x.shape[:2]}")
         lengths = mask.sum(axis=1).astype(int)
-        if (lengths == 0).any():
+        if not lengths.all():
             raise EmptySequenceError("a sequence in the batch has an all-zero mask")
 
         use_dropout = train and dropout > 0.0
@@ -321,30 +325,40 @@ class BiLstmModel:
         keep = 1.0 - dropout
 
         b_sz, t_len = mask.shape
-        pad = (mask.T == 0.0)[:, :, None]
+        h = cfg.hidden
+        padded = mask.T == 0.0
+        pad = padded[:, :, None]
+        # padded samples carry the previous state; step 0 is real in every sample
+        carry = [
+            pad[t] if t and any_padded else None
+            for t, any_padded in enumerate(padded.any(axis=1).tolist())
+        ]
         # one block for every scan's slabs; the tape's caches keep it alive
-        blocks = np.empty((cfg.layers, cfg.directions, 7, t_len, b_sz, cfg.hidden))
+        blocks = np.empty((cfg.layers, cfg.directions, 7, t_len, b_sz, h))
+        rec = np.empty((b_sz, 4 * h))  # every scan's recurrent product, step by step
         reversal = _time_major_reversal(lengths, t_len) if cfg.bidirectional else None
         layer_inputs: list[np.ndarray] = []
         caches: list[list[_DirectionCache]] = []
         dropout_masks: list[np.ndarray | None] = []
         cur = np.ascontiguousarray(x.transpose(1, 0, 2))
+        last = len(self.layers) - 1
         for li, cells in enumerate(self.layers):
             layer_inputs.append(cur)
-            layer_caches = [self._run_direction(cur, pad, cells[0], blocks[li, 0])]
+            layer_caches = [self._run_direction(cur, carry, cells[0], blocks[li, 0], rec)]
             if reversal is not None:
-                layer_caches.append(
-                    self._run_direction(
-                        _gather_rows(cur, reversal), pad, cells[1], blocks[li, 1]
-                    )
-                )
+                layer_caches.append(self._run_direction(
+                    _gather_rows(cur, reversal), carry, cells[1], blocks[li, 1], rec
+                ))
+            caches.append(layer_caches)
+            if li == last and cfg.readout == READOUT_FINAL:
+                break  # the final readout reads only the carried final states
+            if reversal is not None:
                 out = np.concatenate(
                     [layer_caches[0].h, _gather_rows(layer_caches[1].h, reversal)], axis=2
                 )
             else:
                 out = layer_caches[0].h
-            caches.append(layer_caches)
-            if li < len(self.layers) - 1:
+            if li < last:
                 if use_dropout:
                     assert drop_rng is not None
                     # drawn in batch-major order, as (B, T, features)
@@ -355,8 +369,6 @@ class BiLstmModel:
                 else:
                     dropout_masks.append(None)
                     cur = out
-            else:
-                last_out = out
 
         if cfg.readout == READOUT_FINAL:
             rep = np.concatenate(
@@ -364,7 +376,7 @@ class BiLstmModel:
             )  # carried final state = last real step
         else:
             counts = lengths.astype(np.float64)[:, None]
-            rep = np.where(pad, 0.0, last_out).sum(axis=0) / counts
+            rep = np.where(pad, 0.0, out).sum(axis=0) / counts
 
         rep_mask: np.ndarray | None = None
         if use_dropout:
@@ -505,17 +517,22 @@ class BiLstmModel:
     # -- inference ----------------------------------------------------------
 
     def predict(self, rows: np.ndarray) -> tuple[int, np.ndarray]:
-        """Classify one sequence of feature rows; ties go to the lowest code."""
+        """Classify one sequence of feature rows (n, input_dim); ties go to
+        the lowest code."""
+        cfg = self.config
         rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] == 0:
-            raise EmptySequenceError(f"expected (n, dim) rows, got {rows.shape}")
+        if rows.ndim != 2 or rows.shape[1] != cfg.input_dim:
+            raise ShapeMismatchError(f"expected (n, {cfg.input_dim}) rows, got {rows.shape}")
+        n = rows.shape[0]
+        if n == 0:
+            raise EmptySequenceError("no rows to classify")
         if self.scaler is not None:
             rows = self.scaler.transform(rows)
-        t_len = max(self.config.frame, rows.shape[0])
-        x = np.zeros((1, t_len, self.config.input_dim))
+        t_len = max(cfg.frame, n)
+        x = np.zeros((1, t_len, cfg.input_dim))
         mask = np.zeros((1, t_len))
-        x[0, : rows.shape[0]] = rows
-        mask[0, : rows.shape[0]] = 1.0
+        x[0, :n] = rows
+        mask[0, :n] = 1.0
         logits, _ = self.forward(x, mask)
         probs = softmax(logits)[0]
         return int(np.argmax(probs)), probs

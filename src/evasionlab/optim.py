@@ -207,36 +207,12 @@ class Optimizer:
         return optimizer_step(theta, grads, self.state, self.config)
 
 
-def quadratic_convergence_probe(
-    config: OptimizerConfig,
-    dim: int = 10,
-    seed: int = 0,
-    tol: float = 1e-3,
-    cap: int = 100_000,
-) -> int:
-    """Iterations until ||theta - theta*|| < tol on f = 0.5*||theta - theta*||^2.
-
-    Returns cap when the tolerance was never reached.
-    """
-    rng = np.random.default_rng(seed)
-    target = rng.standard_normal(dim)
-    theta = np.zeros(dim)
-    opt = Optimizer(config, dim)
-    for it in range(1, cap + 1):
-        g = theta - target
-        theta = opt.step(theta, g)
-        if float(np.linalg.norm(theta - target)) < tol:
-            return it
-    return cap
-
-
 __all__ = [
     "OptimizerConfig",
     "OptimizerState",
     "Optimizer",
     "make_state",
     "optimizer_step",
-    "quadratic_convergence_probe",
     "KINDS",
     "GD",
     "MOMENTUM",

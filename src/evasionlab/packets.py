@@ -167,17 +167,6 @@ def tcp_checksum(src_addr: int, dst_addr: int, tcp_bytes: bytes, payload: bytes)
     return _checksum_if_zeroed(_tcp_sum(src_addr, dst_addr, tcp_bytes + payload), 0)
 
 
-def addr_to_str(addr: int) -> str:
-    return ".".join(str((addr >> s) & 0xFF) for s in (24, 16, 8, 0))
-
-
-def str_to_addr(text: str) -> int:
-    parts = [int(p) for p in text.split(".")]
-    if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
-        raise ValueError(f"bad IPv4 address {text!r}")
-    return (parts[0] << 24) | (parts[1] << 16) | (parts[2] << 8) | parts[3]
-
-
 @dataclass(frozen=True)
 class Ipv4Header:
     ihl: int

@@ -170,19 +170,6 @@ def evaluate(
     )
 
 
-def matched_uni_hidden(bi_config: ModelConfig) -> int:
-    """Hidden size whose unidirectional variant matches the bidirectional
-    parameter count as closely as possible."""
-    target = lstm_param_count(bi_config)
-    best_h, best_gap = 1, None
-    for h in range(1, 4 * bi_config.hidden + 1):
-        uni = replace(bi_config, hidden=h, bidirectional=False)
-        gap = abs(lstm_param_count(uni) - target)
-        if best_gap is None or gap < best_gap:
-            best_h, best_gap = h, gap
-    return best_h
-
-
 @dataclass
 class SweepRow:
     optimizer: str
@@ -288,5 +275,4 @@ __all__ = [
     "SweepRow",
     "timing_bench",
     "lstm_param_count",
-    "matched_uni_hidden",
 ]

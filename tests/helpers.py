@@ -6,12 +6,20 @@ structures.
 """
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
 from evasionlab.errors import ShapeMismatchError
-from evasionlab.neural import LstmCellParams, _gather_rows, _time_major_reversal
+from evasionlab.neural import (
+    LstmCellParams,
+    ModelConfig,
+    _gather_rows,
+    _time_major_reversal,
+    lstm_param_count,
+)
+from evasionlab.optim import Optimizer, OptimizerConfig
 from evasionlab.packets import (
     IP_DF,
     IP_MF,
@@ -22,8 +30,19 @@ from evasionlab.packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
-    str_to_addr,
 )
+
+
+def addr_to_str(addr: int) -> str:
+    return ".".join(str((addr >> s) & 0xFF) for s in (24, 16, 8, 0))
+
+
+def str_to_addr(text: str) -> int:
+    parts = [int(p) for p in text.split(".")]
+    if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
+        raise ValueError(f"bad IPv4 address {text!r}")
+    return (parts[0] << 24) | (parts[1] << 16) | (parts[2] << 8) | parts[3]
+
 
 SRC = str_to_addr("10.0.0.1")
 DST = str_to_addr("192.168.0.9")
@@ -238,3 +257,39 @@ def reverse_padded(arr: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     rows = _time_major_reversal(lengths, arr.shape[1])
     time_major = np.ascontiguousarray(np.swapaxes(arr, 0, 1))
     return np.swapaxes(_gather_rows(time_major, rows), 0, 1)
+
+
+def quadratic_convergence_probe(
+    config: OptimizerConfig,
+    dim: int = 10,
+    seed: int = 0,
+    tol: float = 1e-3,
+    cap: int = 100_000,
+) -> int:
+    """Iterations until ||theta - theta*|| < tol on f = 0.5*||theta - theta*||^2.
+
+    Returns cap when the tolerance was never reached.
+    """
+    rng = np.random.default_rng(seed)
+    target = rng.standard_normal(dim)
+    theta = np.zeros(dim)
+    opt = Optimizer(config, dim)
+    for it in range(1, cap + 1):
+        g = theta - target
+        theta = opt.step(theta, g)
+        if float(np.linalg.norm(theta - target)) < tol:
+            return it
+    return cap
+
+
+def matched_uni_hidden(bi_config: ModelConfig) -> int:
+    """Hidden size whose unidirectional variant matches the bidirectional
+    parameter count as closely as possible."""
+    target = lstm_param_count(bi_config)
+    best_h, best_gap = 1, None
+    for h in range(1, 4 * bi_config.hidden + 1):
+        uni = replace(bi_config, hidden=h, bidirectional=False)
+        gap = abs(lstm_param_count(uni) - target)
+        if best_gap is None or gap < best_gap:
+            best_h, best_gap = h, gap
+    return best_h

@@ -50,10 +50,10 @@ from evasionlab.training import (
     TrainConfig,
     evaluate,
     lstm_param_count,
-    matched_uni_hidden,
     timing_bench,
     train,
 )
+from helpers import matched_uni_hidden
 
 DESK_FLOWS = 1000
 DESK_SEED = 0

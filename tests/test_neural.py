@@ -231,6 +231,56 @@ def test_tape_outlives_a_later_forward_of_another_shape(config):
     assert grads.tobytes() == fresh.tobytes()
 
 
+PINNED_CONFIGS = [
+    (ModelConfig(hidden=5, input_dim=4, classes=3, frame=5, layers=layers,
+                 bidirectional=bidi, readout=readout), dropout)
+    for layers in (1, 2)
+    for bidi in (False, True)
+    for readout in ("final", "mean")
+    for dropout in (0.0, 0.3)
+]
+
+
+def pinned_masks(b_sz, t_len, rng):
+    """(name, mask) of a ragged batch, a batch padded only at its last
+    step, and a batch with no padding."""
+    ragged = rng.integers(1, t_len + 1, size=b_sz)
+    tail = t_len - (np.arange(b_sz) % 2 == 0)  # sample 0 is always short
+    for name, lengths in (("ragged", ragged), ("tail", tail), ("full", np.full(b_sz, t_len))):
+        yield name, (np.arange(t_len)[None, :] < lengths[:, None]).astype(float)
+
+
+def test_forward_backward_and_predict_bits_are_pinned():
+    """Logits, backward gradients and predict probabilities, byte for
+    byte, over layers, directions, readouts, dropout, batch sizes 1, 2, 7
+    and 50 and three mask shapes; junk fills the padding. The digest was
+    recorded before the scan's set-up was restructured, and pins the bits
+    this numpy and BLAS build computes."""
+    digest = hashlib.sha256()
+    for ci, (config, dropout) in enumerate(PINNED_CONFIGS):
+        model = BiLstmModel.initialize(config, seed=40 + ci)
+        rng = np.random.default_rng(60 + ci)
+        for b_sz in (1, 2, 7, 50):
+            t_len = config.frame
+            x = rng.normal(size=(b_sz, t_len, config.input_dim))
+            labels = rng.integers(0, config.classes, size=b_sz)
+            for name, mask in pinned_masks(b_sz, t_len, rng):
+                logits, tape = model.forward(
+                    x, mask, train=dropout > 0.0, dropout=dropout, dropout_seed=ci
+                )
+                grads = model.backward(tape, labels)
+                digest.update(f"{ci} {b_sz} {name}".encode())
+                digest.update(logits.tobytes())
+                digest.update(grads.tobytes())
+        for n in (1, config.frame - 1, config.frame, config.frame + 2):
+            label, probs = model.predict(rng.normal(size=(n, config.input_dim)))
+            digest.update(struct.pack("<q", label))
+            digest.update(probs.tobytes())
+    assert digest.hexdigest() == (
+        "0d2e0022c3f331a4a5128b47048bb53cdb3c6e118497f38dc9fa96723bc33b65"
+    )
+
+
 def central_differences(model, x, mask, labels, eps=1e-5):
     theta = model.flatten()
     numeric = np.empty_like(theta)
@@ -553,6 +603,24 @@ def test_predict_empty_rejected():
     model = BiLstmModel.initialize(config, seed=2)
     with pytest.raises(EmptySequenceError):
         model.predict(np.ones((0, 3)))
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+def test_predict_rows_of_the_wrong_width_rejected(scaled):
+    config = ModelConfig(hidden=4, input_dim=16, classes=3, frame=4)
+    model = BiLstmModel.initialize(config, seed=2)
+    if scaled:
+        model.scaler = FeatureScaler(shift=np.zeros(16), scale=np.ones(16))
+    with pytest.raises(ShapeMismatchError, match=r"\(5, 10\)"):
+        model.predict(np.ones((5, 10)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (0,), (1, 3, 3), ()])
+def test_predict_rows_not_a_matrix_rejected(shape):
+    config = ModelConfig(hidden=4, input_dim=3, classes=3, frame=4)
+    model = BiLstmModel.initialize(config, seed=2)
+    with pytest.raises(ShapeMismatchError):
+        model.predict(np.ones(shape))
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -19,8 +19,8 @@ from evasionlab.optim import (
     OptimizerState,
     make_state,
     optimizer_step,
-    quadratic_convergence_probe,
 )
+from helpers import quadratic_convergence_probe
 
 
 def run_steps(config, grads_list, theta0=None):

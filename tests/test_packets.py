@@ -19,12 +19,18 @@ from evasionlab.packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
-    addr_to_str,
     evolve,
     flow_key_of,
+)
+from helpers import (
+    addr_to_str,
+    make_fragment,
+    make_ip,
+    make_packet,
+    option_blocks,
+    random_packets,
     str_to_addr,
 )
-from helpers import make_fragment, make_ip, make_packet, option_blocks, random_packets
 
 
 # -- addresses --------------------------------------------------------------

@@ -21,12 +21,12 @@ from evasionlab.training import (
     TrainConfig,
     evaluate,
     lstm_param_count,
-    matched_uni_hidden,
     prepare_batch,
     sweep,
     timing_bench,
     train,
 )
+from helpers import matched_uni_hidden
 
 
 def toy_samples(n_per_class=8, classes=3, seed=0):
