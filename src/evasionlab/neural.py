@@ -350,8 +350,6 @@ class BiLstmModel:
                     _gather_rows(cur, reversal), carry, cells[1], blocks[li, 1], rec
                 ))
             caches.append(layer_caches)
-            if li == last and cfg.readout == READOUT_FINAL:
-                break  # the final readout reads only the carried final states
             if reversal is not None:
                 out = np.concatenate(
                     [layer_caches[0].h, _gather_rows(layer_caches[1].h, reversal)], axis=2
