@@ -57,7 +57,7 @@ from .packets import (
     TCP_OPT_WSCALE,
     TCP_SYN,
     FlowTrace,
-    PacketRecord,
+    _zeroed_tcp_checksum,
 )
 
 FEATURE_DIM = 16
@@ -119,53 +119,71 @@ def _option_number(values: dict[int, bytes | None], kind: int) -> float:
     return ABSENT if value is None else float(int.from_bytes(value, "big"))
 
 
-def _centered_u32(delta: int) -> int:
-    delta &= 0xFFFFFFFF
-    return delta - (1 << 32) if delta >= (1 << 31) else delta
+# A sequence number difference is taken mod 2**32 and read in [-2**31, 2**31):
+# ((d + _HALF_WRAP) & 0xFFFFFFFF) - _HALF_WRAP.
+_HALF_WRAP = 1 << 31
 
 
 def feature_matrix(trace: FlowTrace) -> np.ndarray:
     """One row per packet, shape (len(trace), 16), float32.
 
     The sequence delta of the first TCP packet reads 0: it sets the
-    stream's first expectation.
+    stream's first expectation. One pass reads each header field once and
+    keeps what the next row needs of this packet; an option block is
+    walked only when it is not empty. The rows' values go into one flat
+    list, converted once.
     """
-    rows = np.empty((len(trace.packets), FEATURE_DIM), dtype=np.float32)
+    values: list = []
     expected_seq: int | None = None
-    prev: PacketRecord | None = None
-    for i, pkt in enumerate(trace.packets):
+    prev_offset = prev_ttl = 0
+    prev_end: int | None = None  # seq + payload length of a TCP predecessor
+    for pkt in trace.packets:
         ip, tcp = pkt.ip, pkt.tcp
-        if prev is None:
-            d_offset = d_ttl = overlap = NO_PREDECESSOR
+        offset, ttl, ip_options = ip.frag_offset, ip.ttl, ip.options
+        if ip_options and not _ROUTE_KINDS.isdisjoint(_option_values(ip_options)):
+            iproute = 1.0
         else:
-            d_offset = ip.frag_offset - prev.ip.frag_offset
-            d_ttl = ip.ttl - prev.ip.ttl
-            if prev.tcp is None or tcp is None:
-                overlap = ABSENT
-            else:
-                overlap = max(0, _centered_u32(prev.tcp.seq + len(prev.payload) - tcp.seq))
-        iproute = 0.0 if _ROUTE_KINDS.isdisjoint(_option_values(ip.options)) else 1.0
+            iproute = 0.0
         if tcp is None:
             # a fragment exposes no TCP header: dims 4-8 and 10-12 absent
-            valid = length = flags = syn = seq_delta = mss = wscale = tsval = ABSENT
+            valid = length = flags = syn = seq_delta = overlap = mss = wscale = tsval = ABSENT
+            end = None
         else:
-            valid = 1.0 if pkt.tcp_checksum_valid() else 0.0
-            length = len(pkt.payload)
-            flags = tcp.flags & 0x3F
-            syn = 1 if tcp.flags & TCP_SYN else 0
-            seq_delta = 0 if expected_seq is None else _centered_u32(tcp.seq - expected_seq)
-            options = _option_values(tcp.options)
-            mss = _option_number(options, TCP_OPT_MSS)
-            wscale = _option_number(options, TCP_OPT_WSCALE)
-            tsval = 1.0 if TCP_OPT_TIMESTAMP in options else 0.0
-            expected_seq = (tcp.seq + length + syn + (tcp.flags & TCP_FIN)) & 0xFFFFFFFF
-        rows[i] = (
+            payload, seq, tcp_flags, tcp_options = pkt.payload, tcp.seq, tcp.flags, tcp.options
+            valid = 1.0 if _zeroed_tcp_checksum(ip, tcp, payload) == tcp.checksum else 0.0
+            length = len(payload)
+            flags = tcp_flags & 0x3F
+            syn = 1 if tcp_flags & TCP_SYN else 0
+            if expected_seq is None:
+                seq_delta = 0
+            else:
+                seq_delta = ((seq - expected_seq + _HALF_WRAP) & 0xFFFFFFFF) - _HALF_WRAP
+            if prev_end is None:
+                overlap = ABSENT
+            else:
+                overlap = max(0, ((prev_end - seq + _HALF_WRAP) & 0xFFFFFFFF) - _HALF_WRAP)
+            if tcp_options:
+                options = _option_values(tcp_options)
+                mss = _option_number(options, TCP_OPT_MSS)
+                wscale = _option_number(options, TCP_OPT_WSCALE)
+                tsval = 1.0 if TCP_OPT_TIMESTAMP in options else 0.0
+            else:
+                mss = wscale = ABSENT
+                tsval = 0.0
+            end = seq + length
+            expected_seq = (end + syn + (tcp_flags & TCP_FIN)) & 0xFFFFFFFF
+        if not values:  # the first row
+            d_offset = d_ttl = overlap = NO_PREDECESSOR
+        else:
+            d_offset = offset - prev_offset
+            d_ttl = ttl - prev_ttl
+        values += (
             ip.total_length, d_offset, ip.flags & (IP_DF | IP_MF), d_ttl,
             valid, length, flags, syn, seq_delta, overlap, mss, wscale, tsval,
-            iproute, (ip.ihl - 5) * 4, ip.tos,
+            iproute, len(ip_options), ip.tos,
         )
-        prev = pkt
-    return rows
+        prev_offset, prev_ttl, prev_end = offset, ttl, end
+    return np.array(values, dtype=np.float32).reshape(-1, FEATURE_DIM)
 
 
 @dataclass
@@ -231,8 +249,12 @@ class FeatureScaler:
         scale[scale < 1e-6] = 1.0
         return cls(shift=shift, scale=scale)
 
-    def transform(self, rows: np.ndarray) -> np.ndarray:
-        return (rows.astype(np.float64) - self.shift) / self.scale
+    def transform(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``(rows - shift) / scale`` in float64, written into ``out`` when
+        given (a float64 array of the rows' shape), else into one new array."""
+        out = np.subtract(rows, self.shift, out=out, dtype=np.float64)
+        out /= self.scale
+        return out
 
 
 __all__ = [

@@ -524,12 +524,13 @@ class BiLstmModel:
         n = rows.shape[0]
         if n == 0:
             raise EmptySequenceError("no rows to classify")
-        if self.scaler is not None:
-            rows = self.scaler.transform(rows)
         t_len = max(cfg.frame, n)
         x = np.zeros((1, t_len, cfg.input_dim))
         mask = np.zeros((1, t_len))
-        x[0, :n] = rows
+        if self.scaler is None:
+            x[0, :n] = rows
+        else:
+            self.scaler.transform(rows, out=x[0, :n])
         mask[0, :n] = 1.0
         logits, _ = self.forward(x, mask)
         probs = softmax(logits)[0]

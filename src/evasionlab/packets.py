@@ -21,6 +21,12 @@ and written into its field before the copy is returned; nothing else
 holds the copy yet, so no shared header ever changes. Checksums are always
 recomputed from the header bytes, never updated from the stored value, so
 a packet that arrives with a wrong checksum leaves with a valid one.
+
+The TCP checksum sums its segment as two integers, the encoded header and
+the payload, and never concatenates them: the payload's integer, the one
+large one, is reduced modulo 0xFFFF once (and shifted left by 8 when its
+length is odd, which pads it for summation), and the header's integer and
+the pseudo-header's words are added to that small integer.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
 
-from .errors import OddLengthError, ShapeMismatchError
+from .errors import OddLengthError
 
 IPPROTO_TCP = 6
 
@@ -131,40 +137,50 @@ def _fold(n: int) -> int:
     return n % 0xFFFF or (0xFFFF if n else 0)
 
 
-def _tcp_sum(src_addr: int, dst_addr: int, segment: bytes) -> int:
-    """Unfolded sum of the IPv4 pseudo-header and a TCP segment.
+def _tcp_sum(src_addr: int, dst_addr: int, header: bytes, payload: bytes) -> int:
+    """Sum of the IPv4 pseudo-header and a TCP segment, congruent modulo
+    0xFFFF to the unfolded RFC 1071 sum.
 
-    An odd-length segment is zero-padded for summation only. The pseudo-
-    header's words are added as integers: a 32-bit address counts as its
-    two 16-bit words, because 2**16 = 1 (mod 0xFFFF).
+    The segment is summed as two integers, ``header`` (whole 16-bit words)
+    and ``payload``. As 2**16 = 1 (mod 0xFFFF), the payload's integer is
+    congruent to the sum of its words; it is reduced modulo 0xFFFF once,
+    then shifted left by 8 when the payload's length is odd, which zero-pads
+    it for summation. The header's integer and the pseudo-header's words
+    are added to that small integer: a 32-bit address counts as its two
+    16-bit words.
     """
-    if len(segment) > 0xFFFF:
-        raise ValueError(f"TCP segment length {len(segment)} exceeds 65535")
-    n = int.from_bytes(segment, "big")
-    if len(segment) % 2:
+    length = len(header) + len(payload)
+    if length > 0xFFFF:
+        raise ValueError(f"TCP segment length {length} exceeds 65535")
+    n = int.from_bytes(payload, "big") % 0xFFFF
+    if len(payload) % 2:
         n <<= 8
-    return n + src_addr + dst_addr + IPPROTO_TCP + len(segment)
+    return n + int.from_bytes(header, "big") + src_addr + dst_addr + IPPROTO_TCP + length
 
 
 def _checksum_if_zeroed(n: int, stored: int) -> int:
     """Checksum of the bytes summed in ``n`` with their field ``stored`` zeroed.
 
     Zeroing the field takes ``stored`` off the sum modulo 0xFFFF, so no
-    zeroed copy is needed: ``n - stored`` is congruent to the zeroed sum.
-    Like that sum it is never zero (an IPv4 header's version nibble is 4
-    and sits above the field; the TCP pseudo-header adds protocol 6), so
-    both fold to the same value.
+    zeroed copy is needed: ``n + 0xFFFF - stored`` is congruent to the
+    zeroed sum. Like that sum it is never zero (``n`` is positive, as an
+    IPv4 header's version nibble is 4 and the TCP pseudo-header adds
+    protocol 6, and ``stored`` is at most 0xFFFF), so both fold to the
+    same value.
     """
-    return 0xFFFF - _fold(n - stored)
+    return 0xFFFF - _fold(n + 0xFFFF - stored)
 
 
 def tcp_checksum(src_addr: int, dst_addr: int, tcp_bytes: bytes, payload: bytes) -> int:
     """TCP checksum with the IPv4 pseudo-header (src, dst, proto 6, length).
 
     ``tcp_bytes`` is the serialized TCP header with its checksum field
-    zeroed. Odd-length payloads are zero-padded for summation only.
+    zeroed; it must be whole 16-bit words. Odd-length payloads are
+    zero-padded for summation only.
     """
-    return _checksum_if_zeroed(_tcp_sum(src_addr, dst_addr, tcp_bytes + payload), 0)
+    if len(tcp_bytes) % 2:
+        raise OddLengthError(f"TCP header has odd length {len(tcp_bytes)}")
+    return _checksum_if_zeroed(_tcp_sum(src_addr, dst_addr, tcp_bytes, payload), 0)
 
 
 @dataclass(frozen=True)
@@ -341,7 +357,7 @@ class TcpHeader:
 def _zeroed_tcp_checksum(ip: Ipv4Header, tcp: TcpHeader, payload: bytes) -> int:
     """TCP checksum of ``tcp`` and ``payload`` under ``ip``, computed with
     the field zeroed."""
-    n = _tcp_sum(ip.src_addr, ip.dst_addr, tcp.encode() + payload)
+    n = _tcp_sum(ip.src_addr, ip.dst_addr, tcp.encode(), payload)
     return _checksum_if_zeroed(n, tcp.checksum)
 
 
@@ -361,9 +377,9 @@ class PacketRecord:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        expected = self.ip.header_length + len(self.payload)
+        expected = self.ip.ihl * 4 + len(self.payload)
         if self.tcp is not None:
-            expected += self.tcp.header_length
+            expected += self.tcp.data_offset * 4
         if self.ip.total_length != expected:
             raise ValueError(
                 f"ip.total_length {self.ip.total_length} != header+payload {expected}"
@@ -468,9 +484,3 @@ class FlowTrace:
 
     def __len__(self) -> int:
         return len(self.packets)
-
-
-def flow_key_of(pkt: PacketRecord) -> FlowKey:
-    if pkt.tcp is None:
-        raise ShapeMismatchError("cannot derive a flow key from a TCP-less fragment")
-    return (pkt.ip.src_addr, pkt.tcp.src_port, pkt.ip.dst_addr, pkt.tcp.dst_port)

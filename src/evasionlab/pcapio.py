@@ -23,7 +23,6 @@ from .packets import (
     FlowKey,
     FlowTrace,
     PacketRecord,
-    flow_key_of,
 )
 
 PCAP_MAGIC_LE = 0xA1B2C3D4
@@ -40,6 +39,8 @@ MAC_DST = bytes.fromhex("020000000002")
 GLOBAL_HEADER = struct.Struct("IHHiIII")  # magic, major, minor, tz, sigfigs, snaplen, network
 RECORD_HEADER = struct.Struct("IIII")  # ts_sec, ts_usec, incl_len, orig_len
 _ETHERTYPE = struct.Struct("!H")
+_ETHERTYPE_HI, _ETHERTYPE_LO = _ETHERTYPE.pack(ETHERTYPE_IPV4)  # read byte by byte
+_PORTS = struct.Struct("!HH")
 
 
 @dataclass
@@ -79,8 +80,9 @@ def read_pcap(fh: BinaryIO) -> Capture:
         raise BadMagicError(f"unsupported link type {network}, want Ethernet (1)")
 
     unpack_record = struct.Struct(endian + RECORD_HEADER.format).unpack_from
-    stats = CaptureStats()
+    decode = PacketRecord.decode
     records: list[PacketRecord] = []
+    total = skipped_link = skipped_protocol = 0
     pos, size = GLOBAL_HEADER.size, len(data)
     while pos < size:
         if size - pos < RECORD_HEADER.size:
@@ -92,34 +94,31 @@ def read_pcap(fh: BinaryIO) -> Capture:
             raise TruncatedFileError(
                 f"expected {incl_len} bytes for pcap record body, got {size - start}"
             )
-        stats.packets_total += 1
-        pkt = _decode_frame(data, start, pos, ts_sec + ts_usec / 1_000_000, stats)
-        if pkt is not None:
-            records.append(pkt)
+        total += 1
+        if (
+            incl_len < ETH_HEADER_LEN
+            or data[start + 12] != _ETHERTYPE_HI
+            or data[start + 13] != _ETHERTYPE_LO
+        ):
+            skipped_link += 1
+            continue
+        try:
+            pkt = decode(data, ts_sec + ts_usec / 1_000_000, start + ETH_HEADER_LEN, pos)
+        except ValueError:
+            skipped_protocol += 1
+            continue
+        if pkt.ip.protocol != IPPROTO_TCP:
+            skipped_protocol += 1
+            continue
+        records.append(pkt)
+    stats = CaptureStats(
+        packets_total=total,
+        packets_tcp=len(records),
+        packets_skipped=skipped_link + skipped_protocol,
+        skipped_link=skipped_link,
+        skipped_protocol=skipped_protocol,
+    )
     return Capture(records=records, stats=stats)
-
-
-def _decode_frame(
-    data: bytes, start: int, end: int, ts: float, stats: CaptureStats
-) -> PacketRecord | None:
-    """Decode the Ethernet frame ``data[start:end]``, or count why not."""
-    if (
-        end - start < ETH_HEADER_LEN
-        or _ETHERTYPE.unpack_from(data, start + 12)[0] != ETHERTYPE_IPV4
-    ):
-        stats.packets_skipped += 1
-        stats.skipped_link += 1
-        return None
-    try:
-        pkt = PacketRecord.decode(data, ts, start + ETH_HEADER_LEN, end)
-    except ValueError:
-        pkt = None
-    if pkt is None or pkt.ip.protocol != IPPROTO_TCP:
-        stats.packets_skipped += 1
-        stats.skipped_protocol += 1
-        return None
-    stats.packets_tcp += 1
-    return pkt
 
 
 def write_pcap(fh: BinaryIO, packets: list[PacketRecord], snaplen: int = 65535) -> None:
@@ -150,28 +149,27 @@ def group_flows(records: list[PacketRecord]) -> list[FlowTrace]:
     that flow too. Trailing fragments whose first piece never appeared are
     dropped.
     """
-    flows: dict[FlowKey, list[PacketRecord]] = {}
-    order: list[FlowKey] = []
+    flows: dict[FlowKey, list[PacketRecord]] = {}  # in order of first packet
     frag_owner: dict[tuple[int, int, int], FlowKey] = {}
     for pkt in records:
-        key: FlowKey | None = None
-        if pkt.tcp is not None:
-            key = flow_key_of(pkt)
+        ip, tcp = pkt.ip, pkt.tcp
+        if tcp is not None:
+            key = (ip.src_addr, tcp.src_port, ip.dst_addr, tcp.dst_port)
         else:
-            frag = (pkt.ip.src_addr, pkt.ip.dst_addr, pkt.ip.identification)
+            frag = (ip.src_addr, ip.dst_addr, ip.identification)
             key = frag_owner.get(frag)
-            if key is None and pkt.ip.frag_offset == 0 and len(pkt.payload) >= 4:
+            if key is None:
+                if ip.frag_offset != 0 or len(pkt.payload) < 4:
+                    continue
                 # first fragment: TCP source/destination ports lead the payload
-                sport, dport = struct.unpack("!HH", pkt.payload[:4])
-                key = (pkt.ip.src_addr, sport, pkt.ip.dst_addr, dport)
-                frag_owner[frag] = key
-        if key is None:
-            continue
-        if key not in flows:
-            flows[key] = []
-            order.append(key)
-        flows[key].append(pkt)
-    return [FlowTrace(key=key, packets=flows[key]) for key in order]
+                sport, dport = _PORTS.unpack_from(pkt.payload)
+                key = frag_owner[frag] = (ip.src_addr, sport, ip.dst_addr, dport)
+        flow = flows.get(key)
+        if flow is None:
+            flows[key] = [pkt]
+        else:
+            flow.append(pkt)
+    return [FlowTrace(key=key, packets=packets) for key, packets in flows.items()]
 
 
 def read_flows(path: str) -> tuple[list[FlowTrace], CaptureStats]:

@@ -74,9 +74,7 @@ def _reassemble_fragments(
         _claim(buf, have, start, data)
         if not frag.ip.flags & IP_MF:
             total_len = max(total_len or 0, start + len(data))
-    if total_len is None or len(buf) < total_len:
-        return None
-    if not all(have[:total_len]):
+    if total_len is None or len(buf) < total_len or have.find(0, 0, total_len) != -1:
         return None
     payload = bytes(buf[:total_len])
 
@@ -176,8 +174,8 @@ def normalize_receive(trace: FlowTrace, ttl_floor: int = 1) -> ReceiverReport:
         _claim(stream, have, start, pkt.payload)
         report.segments_accepted += 1
 
-    if not all(have):
-        first_gap = next(i for i, h in enumerate(have) if not h)
+    first_gap = have.find(0)
+    if first_gap != -1:
         raise IncompleteStreamError(
             f"TCP stream has a hole at offset {first_gap} of {len(stream)}"
         )

@@ -66,18 +66,23 @@ def prepare_batch(
     frame: int,
     scaler: FeatureScaler | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pad a list of sequences to a dense (B, T, D) batch with tail masks."""
+    """Pad a list of sequences to a dense (B, T, D) batch with tail masks.
+
+    Each sample's rows are written (and scaled) straight into the float64
+    batch; the float32 to float64 cast is exact.
+    """
     t_len = max(frame, max(len(s.rows) for s in samples))
     dim = samples[0].rows.shape[1]
     x = np.zeros((len(samples), t_len, dim))
     mask = np.zeros((len(samples), t_len))
     labels = np.empty(len(samples), dtype=int)
     for i, s in enumerate(samples):
-        rows = s.rows.astype(np.float64)
-        if scaler is not None:
-            rows = scaler.transform(rows)
-        x[i, : len(rows)] = rows
-        mask[i, : len(rows)] = 1.0
+        n = len(s.rows)
+        if scaler is None:
+            x[i, :n] = s.rows
+        else:
+            scaler.transform(s.rows, out=x[i, :n])
+        mask[i, :n] = 1.0
         labels[i] = s.label
     return x, mask, labels
 

@@ -12,6 +12,14 @@ import numpy as np
 from hypothesis import strategies as st
 
 from evasionlab.errors import ShapeMismatchError
+from evasionlab.features import (
+    ABSENT,
+    FEATURE_DIM,
+    NO_PREDECESSOR,
+    _ROUTE_KINDS,
+    _option_number,
+    _option_values,
+)
 from evasionlab.neural import (
     LstmCellParams,
     ModelConfig,
@@ -24,8 +32,13 @@ from evasionlab.packets import (
     IP_DF,
     IP_MF,
     TCP_ACK,
+    TCP_FIN,
+    TCP_OPT_MSS,
+    TCP_OPT_TIMESTAMP,
+    TCP_OPT_WSCALE,
     TCP_PSH,
     TCP_SYN,
+    FlowKey,
     FlowTrace,
     Ipv4Header,
     PacketRecord,
@@ -42,6 +55,63 @@ def str_to_addr(text: str) -> int:
     if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
         raise ValueError(f"bad IPv4 address {text!r}")
     return (parts[0] << 24) | (parts[1] << 16) | (parts[2] << 8) | parts[3]
+
+
+def flow_key_of(pkt: PacketRecord) -> FlowKey:
+    if pkt.tcp is None:
+        raise ShapeMismatchError("cannot derive a flow key from a TCP-less fragment")
+    return (pkt.ip.src_addr, pkt.tcp.src_port, pkt.ip.dst_addr, pkt.tcp.dst_port)
+
+
+def _centered_u32(delta: int) -> int:
+    delta &= 0xFFFFFFFF
+    return delta - (1 << 32) if delta >= (1 << 31) else delta
+
+
+def reference_feature_matrix(trace: FlowTrace) -> np.ndarray:
+    """The per-row feature loop that :func:`evasionlab.features.feature_matrix`
+    replaced, kept as its reference: one row per packet, shape
+    (len(trace), 16), float32.
+
+    The sequence delta of the first TCP packet reads 0: it sets the
+    stream's first expectation.
+    """
+    rows = np.empty((len(trace.packets), FEATURE_DIM), dtype=np.float32)
+    expected_seq: int | None = None
+    prev: PacketRecord | None = None
+    for i, pkt in enumerate(trace.packets):
+        ip, tcp = pkt.ip, pkt.tcp
+        if prev is None:
+            d_offset = d_ttl = overlap = NO_PREDECESSOR
+        else:
+            d_offset = ip.frag_offset - prev.ip.frag_offset
+            d_ttl = ip.ttl - prev.ip.ttl
+            if prev.tcp is None or tcp is None:
+                overlap = ABSENT
+            else:
+                overlap = max(0, _centered_u32(prev.tcp.seq + len(prev.payload) - tcp.seq))
+        iproute = 0.0 if _ROUTE_KINDS.isdisjoint(_option_values(ip.options)) else 1.0
+        if tcp is None:
+            # a fragment exposes no TCP header: dims 4-8 and 10-12 absent
+            valid = length = flags = syn = seq_delta = mss = wscale = tsval = ABSENT
+        else:
+            valid = 1.0 if pkt.tcp_checksum_valid() else 0.0
+            length = len(pkt.payload)
+            flags = tcp.flags & 0x3F
+            syn = 1 if tcp.flags & TCP_SYN else 0
+            seq_delta = 0 if expected_seq is None else _centered_u32(tcp.seq - expected_seq)
+            options = _option_values(tcp.options)
+            mss = _option_number(options, TCP_OPT_MSS)
+            wscale = _option_number(options, TCP_OPT_WSCALE)
+            tsval = 1.0 if TCP_OPT_TIMESTAMP in options else 0.0
+            expected_seq = (tcp.seq + length + syn + (tcp.flags & TCP_FIN)) & 0xFFFFFFFF
+        rows[i] = (
+            ip.total_length, d_offset, ip.flags & (IP_DF | IP_MF), d_ttl,
+            valid, length, flags, syn, seq_delta, overlap, mss, wscale, tsval,
+            iproute, (ip.ihl - 5) * 4, ip.tos,
+        )
+        prev = pkt
+    return rows
 
 
 SRC = str_to_addr("10.0.0.1")

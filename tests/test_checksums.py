@@ -24,7 +24,7 @@ from evasionlab.packets import (
     ipv4_checksum,
     tcp_checksum,
 )
-from helpers import make_packet, random_packets, reference_checksum, wire_packet
+from helpers import make_ip, make_packet, random_packets, reference_checksum, wire_packet
 
 
 def test_hand_worked_example():
@@ -178,6 +178,22 @@ def test_stored_all_ones_is_never_valid():
     assert pkt.tcp.checksum == 0x0000 and pkt.tcp_checksum_valid()
     ones = replace(pkt, tcp=replace(pkt.tcp, checksum=0xFFFF))
     assert not ones.tcp_checksum_valid()
+
+
+def test_segment_sum_reducing_to_the_stored_field_reads_as_zeroed_sum():
+    # header (data offset word 0x5000, stored field 0x1234), payload 0xAFE3
+    # and pseudo-header (zero addresses, protocol 6, length 22) reduce to
+    # exactly the stored field, so taking it off leaves a multiple of 0xFFFF
+    tcp = TcpHeader(0, 0, 0, 0, data_offset=5, window=0, checksum=0x1234)
+    pkt = PacketRecord(0.0, make_ip(2, src=0, dst=0), tcp, b"\xaf\xe3")
+    assert zeroed_tcp_checksum(pkt) == 0x0000
+    assert not pkt.tcp_checksum_valid()
+    assert pkt.with_checksums().tcp.checksum == 0x0000
+
+
+def test_odd_length_tcp_header_rejected():
+    with pytest.raises(OddLengthError):
+        tcp_checksum(0, 0, bytes(21), b"")
 
 
 def test_ecn_bits_keep_a_wire_valid_tcp_checksum_valid():

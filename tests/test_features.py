@@ -1,5 +1,7 @@
 """Per-packet feature rows, sentinels, windowing, scaling."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,9 +21,24 @@ from evasionlab.features import (
     feature_matrix,
     window_matrix,
 )
-from evasionlab.packets import TCP_ACK, TCP_PSH, FlowTrace, PacketRecord
-from evasionlab.synth import EvasionLabel, SynthParams, apply_evasion, generate_clean_flow
-from helpers import handshake_trace, make_packet, wire_packet
+from evasionlab.packets import (
+    IP_MF,
+    TCP_ACK,
+    TCP_PSH,
+    FlowTrace,
+    Ipv4Header,
+    PacketRecord,
+    TcpHeader,
+)
+from evasionlab.pcapio import group_flows, read_pcap, write_pcap
+from evasionlab.synth import (
+    EvasionLabel,
+    SynthParams,
+    apply_evasion,
+    build_labeled_corpus,
+    generate_clean_flow,
+)
+from helpers import handshake_trace, make_packet, reference_feature_matrix, wire_packet
 
 # column indices, fixed by the format
 IPLEN, IPOFF, IPFLAG, IPTTLDIFF = 0, 1, 2, 3
@@ -237,6 +254,101 @@ def test_feature_sequence_validation():
         FeatureSequence(rows=good, label=-1)
     with pytest.raises(ValueError):
         FeatureSequence(rows=good, label=256)
+
+
+# -- the one-pass rows against the per-row reference -------------------------
+
+# a small set of kinds, so blocks repeat them: MSS, window scale, SACK-permitted,
+# timestamp and an unknown kind; record route, loose and strict source route
+_KINDS = (2, 3, 4, 8, 30, 7, 131, 137)
+
+
+@st.composite
+def padded_option_blocks(draw):
+    """Option blocks of whole words: well-formed options, NOP and EOL, and
+    options whose length is zero, one or past the end of the block, padded
+    with NOP or EOL; the 40-byte cut may split an option."""
+    kind = st.sampled_from(_KINDS)
+    element = st.one_of(
+        st.sampled_from([b"\x00", b"\x01"]),
+        st.builds(lambda k, v: bytes([k, len(v) + 2]) + v, kind, st.binary(max_size=8)),
+        st.builds(lambda k, n: bytes([k, n]), kind, st.sampled_from([0, 1, 60, 255])),
+    )
+    block = b"".join(draw(st.lists(element, max_size=8)))
+    block += draw(st.sampled_from([b"\x00", b"\x01"])) * (-len(block) % 4)
+    return block[:40]
+
+
+def _ip(draw, payload_len, *, flags, offset, tcp_len=0):
+    options = draw(padded_option_blocks())
+    ihl = 5 + len(options) // 4
+    return Ipv4Header(
+        ihl=ihl, tos=draw(st.integers(0, 255)),
+        total_length=ihl * 4 + tcp_len + payload_len,
+        identification=draw(st.integers(0, 3)), flags=flags, frag_offset=offset,
+        ttl=draw(st.integers(0, 255)), protocol=6, checksum=0,
+        src_addr=1, dst_addr=2, options=options,
+    )
+
+
+@st.composite
+def mixed_flows(draw):
+    """Segments and fragments with sequence numbers that may wrap, payloads
+    of any length (zero and odd included), ECN and reserved flag bits, and
+    valid or arbitrary checksums."""
+    seq = draw(st.one_of(st.integers(2**32 - 100, 2**32 - 1), st.integers(0, 2**32 - 1)))
+    packets = []
+    for _ in range(draw(st.integers(1, 8))):
+        payload = draw(st.binary(max_size=41))
+        if draw(st.integers(0, 3)) == 0:
+            offset = draw(st.integers(0, 300))
+            mf = True if offset == 0 else draw(st.booleans())
+            flags = (IP_MF if mf else 0) | draw(st.sampled_from([0, 2, 4, 6]))
+            pkt = PacketRecord(ts=0.0, ip=_ip(draw, len(payload), flags=flags, offset=offset),
+                               tcp=None, payload=payload)
+        else:
+            seq = (seq + draw(st.integers(-40, 80))) % 2**32
+            options = draw(padded_option_blocks())
+            tcp = TcpHeader(
+                src_port=1, dst_port=2, seq=seq, ack=draw(st.integers(0, 2**32 - 1)),
+                data_offset=5 + len(options) // 4, flags=draw(st.integers(0, 0xFFF)),
+                checksum=draw(st.integers(0, 0xFFFF)), options=options,
+            )
+            ip = _ip(draw, len(payload), flags=draw(st.sampled_from([0, 2, 4, 6])),
+                     offset=0, tcp_len=tcp.data_offset * 4)
+            pkt = PacketRecord(ts=0.0, ip=ip, tcp=tcp, payload=payload)
+        if draw(st.booleans()):
+            pkt = pkt.with_checksums()
+        packets.append(pkt)
+    return FlowTrace(key=(1, 1, 2, 2), packets=packets)
+
+
+@given(mixed_flows())
+def test_feature_matrix_matches_the_reference_bytes(trace):
+    got = feature_matrix(trace)
+    assert got.shape == (len(trace), FEATURE_DIM) and got.dtype == np.float32
+    assert got.tobytes() == reference_feature_matrix(trace).tobytes()
+
+
+def test_sequence_jump_of_half_the_space_reads_negative():
+    # a difference of exactly 2**31 is the one that both signs could claim
+    trace = FlowTrace(key=(1, 1, 2, 2), packets=[make_packet(5, b""), make_packet(5 + 2**31, b"")])
+    m = feature_matrix(trace)
+    assert m[1][TCPSEQD] == -(2**31)
+    assert m.tobytes() == reference_feature_matrix(trace).tobytes()
+
+
+def test_regrouped_detect_capture_matches_the_reference_bytes():
+    flows = build_labeled_corpus(
+        3, SynthParams(frag_units=8, seg_bytes=64), seed=5,
+        n_packets_range=(12, 24), payload_len_range=(128, 512),
+    )
+    buf = io.BytesIO()
+    write_pcap(buf, [p for trace, _ in flows for p in trace.packets])
+    regrouped = group_flows(read_pcap(io.BytesIO(buf.getvalue())).records)
+    assert len(regrouped) == len(flows)
+    for trace in regrouped:
+        assert feature_matrix(trace).tobytes() == reference_feature_matrix(trace).tobytes()
 
 
 # -- scaling ----------------------------------------------------------------

@@ -20,10 +20,10 @@ from evasionlab.packets import (
     PacketRecord,
     TcpHeader,
     evolve,
-    flow_key_of,
 )
 from helpers import (
     addr_to_str,
+    flow_key_of,
     make_fragment,
     make_ip,
     make_packet,

@@ -52,6 +52,24 @@ def test_mid_stream_ip_checksum_drop_leaves_fatal_hole():
         normalize_receive(FlowTrace(key=KEY, packets=packets))
 
 
+def test_hole_mid_stream_names_its_first_offset():
+    trace = handshake_trace([b"AAAA", b"BBBBBB", b"CCC"])
+    packets = [trace.packets[0], trace.packets[1], trace.packets[3]]
+    with pytest.raises(IncompleteStreamError) as info:
+        normalize_receive(FlowTrace(key=KEY, packets=packets))
+    assert str(info.value) == "TCP stream has a hole at offset 4 of 13"
+
+
+def test_fragment_group_with_a_hole_mid_datagram_cannot_complete():
+    raw = make_packet(1001, b"0123456789abcdef").ip_payload()  # 20 + 16 bytes
+    syn = handshake_trace([]).packets[0]
+    head = make_fragment(40, 0, raw[:16], mf=True, ts=0.1)
+    tail = make_fragment(40, 4, raw[32:], mf=False, ts=0.2)  # bytes 16-31 never arrive
+    with pytest.raises(IncompleteStreamError) as info:
+        normalize_receive(FlowTrace(key=KEY, packets=[syn, head, tail]))
+    assert str(info.value) == "fragment group id=40 cannot be completed"
+
+
 def test_chaff_duplicate_with_bad_checksum_ignored():
     trace = handshake_trace([b"AAAA", b"BBBB"])
     real = trace.packets[1]

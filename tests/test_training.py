@@ -1,5 +1,7 @@
 """Training loop, evaluation reports, parameter budgets, sweeps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from evasionlab.errors import (
     EmptyTestSetError,
 )
 from evasionlab.features import FeatureScaler, FeatureSequence
-from evasionlab.neural import BiLstmModel, ModelConfig, load_model, softmax_xent
+from evasionlab.neural import BiLstmModel, ModelConfig, load_model, softmax, softmax_xent
 from evasionlab.optim import Optimizer, OptimizerConfig
 from evasionlab.synth import SynthParams, build_labeled_corpus
 from evasionlab.training import (
@@ -82,6 +84,52 @@ def test_prepare_batch_applies_scaler():
     scaler = FeatureScaler(shift=np.full(16, 10.0), scale=np.full(16, 2.0))
     x, _, _ = prepare_batch(samples, frame=3, scaler=scaler)
     assert np.allclose(x[0], 0.0)
+
+
+def scaled_by_parent_expression(rows, scaler):
+    return (rows.astype(np.float64) - scaler.shift) / scaler.scale
+
+
+SCALER_DIGEST = "fc14a175cc1e919fb4441bf8eb996c04464a46f88fec08ad8daec7df49ca64f7"
+
+
+def test_scaled_rows_batches_and_predictions_are_pinned():
+    """transform, prepare_batch and predict under a non-trivial scaler, on
+    float32 and float64 rows, equal the allocate-and-divide expression bit
+    for bit; transform and the batches (elementwise IEEE arithmetic, no
+    BLAS) are also pinned by digest."""
+    rng = np.random.default_rng(11)
+    scaler = FeatureScaler(shift=rng.normal(3.0, 5.0, 16), scale=rng.uniform(0.1, 40.0, 16))
+    lengths = (3, 5, 7, 4)
+    cases = {
+        dtype: [rng.normal(2.0, 30.0, (n, 16)).astype(dtype) for n in lengths]
+        for dtype in (np.float32, np.float64)
+    }
+    model = BiLstmModel.initialize(ModelConfig(hidden=8, input_dim=16, classes=3, frame=5), 4)
+    model.scaler = scaler
+    digest = hashlib.sha256()
+    for all_rows in cases.values():
+        for rows in all_rows:
+            out = scaler.transform(rows)
+            assert out.dtype == np.float64
+            assert out.tobytes() == scaled_by_parent_expression(rows, scaler).tobytes()
+            digest.update(out.tobytes())
+
+            x = np.zeros((1, 5 if len(rows) <= 5 else len(rows), 16))
+            x[0, : len(rows)] = scaled_by_parent_expression(rows, scaler)
+            mask = (np.arange(x.shape[1]) < len(rows)).astype(np.float64)[None]
+            expected = softmax(model.forward(x, mask)[0])[0]
+            assert model.predict(rows)[1].tobytes() == expected.tobytes()
+
+        samples = [FeatureSequence(rows=r, label=i) for i, r in enumerate(all_rows)]
+        x, mask, _ = prepare_batch(samples, frame=5, scaler=scaler)
+        for i, rows in enumerate(all_rows):
+            expected = scaled_by_parent_expression(rows, scaler)
+            assert x[i, : len(rows)].tobytes() == expected.tobytes()
+            assert not x[i, len(rows) :].any()  # padding stays zero, unscaled
+        digest.update(x.tobytes())
+        digest.update(mask.tobytes())
+    assert digest.hexdigest() == SCALER_DIGEST
 
 
 # -- training ---------------------------------------------------------------
