@@ -34,6 +34,16 @@ block, NOP (1) is one byte, and every other option is kind, length, value.
 A length byte that is missing, below 2 or past the end of the block ends
 the walk; that option's kind still counts as present (dims 12, 13), but its
 value cannot be read, so dims 10 and 11 read -2 for it.
+
+:func:`feature_matrix` takes two routes to the same values. A flow that
+:func:`evasionlab.pcapio.group_flows` returned holds row views of a packet
+table over wire bytes (``Capture.records`` is such a table, a lazy
+``Sequence`` that decodes a record only when asked); the first call on any
+flow of a grouping computes every flow of that grouping in one columnar
+pass over the table's columns, and each call returns a copy of its flow's
+rows. A flow of packet objects, as synthesis builds them, goes through one
+loop over the packets: laying a few small flows out as columns costs more
+than the loop saves.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ from .packets import (
     FlowTrace,
     _zeroed_tcp_checksum,
 )
+from .pcapio import FlowRows, PacketTable
 
 FEATURE_DIM = 16
 FRAME_MIN = 3
@@ -124,20 +135,95 @@ def _option_number(values: dict[int, bytes | None], kind: int) -> float:
 _HALF_WRAP = 1 << 31
 
 
+def _centered(delta: np.ndarray) -> np.ndarray:
+    return ((delta + _HALF_WRAP) & 0xFFFFFFFF) - _HALF_WRAP
+
+
+def _table_matrix(table: PacketTable, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Feature rows of the packets at rows ``order`` of ``table``, flows laid
+    end to end with one starting at each index in ``starts``.
+
+    The same values as the loop in :func:`feature_matrix`, from columns: a
+    row's predecessor is the row before it unless it starts a flow, and a
+    TCP row's sequence expectation comes from the last TCP row before it in
+    its flow. Option blocks are walked only where they are not empty.
+    """
+    n = len(order)
+    index = np.arange(n)
+    first = np.zeros(n, dtype=bool)
+    first[starts[:-1]] = True
+    tcp = table.has_tcp[order]
+    out = np.empty((n, FEATURE_DIM))
+    out[:, 0] = table.total_length[order]
+    out[1:, 1] = np.diff(table.frag_offset[order].astype(np.int64))
+    out[1:, 3] = np.diff(table.ttl[order].astype(np.int64))
+    out[:, 2] = table.ip_flags[order] & (IP_DF | IP_MF)
+
+    seq = table.seq[order].astype(np.int64)
+    length = table.payload_len[order]
+    flags = table.tcp_flags[order].astype(np.int64)
+    syn = (flags & TCP_SYN) >> 1
+    out[:, 4] = table.checksum_valid[order]
+    out[:, 5] = length
+    out[:, 6] = flags & 0x3F
+    out[:, 7] = syn
+    expected = (seq + length + syn + (flags & TCP_FIN)) & 0xFFFFFFFF
+    last_tcp = np.maximum.accumulate(np.where(tcp, index, -1))
+    prior = np.concatenate(([-1], last_tcp[:-1]))
+    flow_start = np.maximum.accumulate(np.where(first, index, 0))
+    out[:, 8] = np.where(prior >= flow_start, _centered(seq - expected[prior]), 0)
+    out[1:, 9] = np.where(
+        tcp[:-1], np.maximum(0, _centered(seq[:-1] + length[:-1] - seq[1:])), ABSENT
+    )
+    out[:, 10:12] = ABSENT
+    out[:, 12] = 0.0
+    data = table.data
+    rows = order.tolist()
+    tcp_at, payload_at = table.tcp_at, table.payload_at
+    for i in np.flatnonzero(tcp & (payload_at[order] - tcp_at[order] > 20)).tolist():
+        row = rows[i]
+        options = _option_values(data[tcp_at[row] + 20 : payload_at[row]])
+        out[i, 10] = _option_number(options, TCP_OPT_MSS)
+        out[i, 11] = _option_number(options, TCP_OPT_WSCALE)
+        out[i, 12] = 1.0 if TCP_OPT_TIMESTAMP in options else 0.0
+    out[~tcp, 4:13] = ABSENT  # a fragment exposes no TCP header
+
+    ihl4 = table.ihl4[order]
+    out[:, 13] = 0.0
+    ip = table.ip
+    for i in np.flatnonzero(ihl4 > 20).tolist():
+        row = rows[i]
+        if not _ROUTE_KINDS.isdisjoint(_option_values(data[ip[row] + 20 : tcp_at[row]])):
+            out[i, 13] = 1.0
+    out[:, 14] = ihl4 - 20
+    out[:, 15] = table.tos[order]
+    out[first, 1] = out[first, 3] = out[first, 9] = NO_PREDECESSOR
+    return out.astype(np.float32)
+
+
 def feature_matrix(trace: FlowTrace) -> np.ndarray:
-    """One row per packet, shape (len(trace), 16), float32.
+    """One row per packet, shape (len(trace), 16), float32, which the caller
+    owns.
 
     The sequence delta of the first TCP packet reads 0: it sets the
-    stream's first expectation. One pass reads each header field once and
-    keeps what the next row needs of this packet; an option block is
-    walked only when it is not empty. The rows' values go into one flat
-    list, converted once.
+    stream's first expectation. A flow of :func:`evasionlab.pcapio.group_flows`
+    is read from its grouping's columns (see the module docstring). Any
+    other flow takes one pass that reads each header field once and keeps
+    what the next row needs of this packet; an option block is walked only
+    when it is not empty. The rows' values go into one flat list, converted
+    once.
     """
+    packets = trace.packets
+    if isinstance(packets, FlowRows):
+        grouping = packets.grouping
+        if grouping.matrix is None:
+            grouping.matrix = _table_matrix(grouping.table, grouping.order, grouping.starts)
+        return grouping.matrix[packets.lo : packets.hi].copy()
     values: list = []
     expected_seq: int | None = None
     prev_offset = prev_ttl = 0
     prev_end: int | None = None  # seq + payload length of a TCP predecessor
-    for pkt in trace.packets:
+    for pkt in packets:
         ip, tcp = pkt.ip, pkt.tcp
         offset, ttl, ip_options = ip.frag_offset, ip.ttl, ip.options
         if ip_options and not _ROUTE_KINDS.isdisjoint(_option_values(ip_options)):

@@ -518,7 +518,7 @@ class BiLstmModel:
         """Classify one sequence of feature rows (n, input_dim); ties go to
         the lowest code."""
         cfg = self.config
-        rows = np.asarray(rows, dtype=np.float64)
+        rows = np.asarray(rows)  # cast once, as the rows go into the batch
         if rows.ndim != 2 or rows.shape[1] != cfg.input_dim:
             raise ShapeMismatchError(f"expected (n, {cfg.input_dim}) rows, got {rows.shape}")
         n = rows.shape[0]

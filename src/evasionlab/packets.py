@@ -35,7 +35,7 @@ import functools
 import operator
 import struct
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
@@ -473,10 +473,11 @@ FlowKey = tuple[int, int, int, int]  # (src_addr, src_port, dst_addr, dst_port)
 
 @dataclass
 class FlowTrace:
-    """Packets of one unidirectional TCP flow, in capture order."""
+    """Packets of one unidirectional TCP flow, in capture order: a list,
+    or the row view of a packet table that ``group_flows`` returns."""
 
     key: FlowKey
-    packets: list[PacketRecord] = field(default_factory=list)
+    packets: Sequence[PacketRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.packets:

@@ -5,13 +5,15 @@ synthesis code, so tests keep an independent path to valid on-the-wire
 structures.
 """
 
+import io
 import struct
 from dataclasses import replace
+from typing import BinaryIO
 
 import numpy as np
 from hypothesis import strategies as st
 
-from evasionlab.errors import ShapeMismatchError
+from evasionlab.errors import BadMagicError, EvasionLabError, ShapeMismatchError, TruncatedFileError
 from evasionlab.features import (
     ABSENT,
     FEATURE_DIM,
@@ -19,6 +21,7 @@ from evasionlab.features import (
     _ROUTE_KINDS,
     _option_number,
     _option_values,
+    feature_matrix,
 )
 from evasionlab.neural import (
     LstmCellParams,
@@ -29,6 +32,7 @@ from evasionlab.neural import (
 )
 from evasionlab.optim import Optimizer, OptimizerConfig
 from evasionlab.packets import (
+    IPPROTO_TCP,
     IP_DF,
     IP_MF,
     TCP_ACK,
@@ -43,6 +47,18 @@ from evasionlab.packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
+)
+from evasionlab.pcapio import (
+    ETH_HEADER_LEN,
+    GLOBAL_HEADER,
+    LINKTYPE_ETHERNET,
+    PCAP_MAGIC_BE,
+    PCAP_MAGIC_LE,
+    RECORD_HEADER,
+    Capture,
+    CaptureStats,
+    group_flows,
+    read_pcap,
 )
 
 
@@ -112,6 +128,117 @@ def reference_feature_matrix(trace: FlowTrace) -> np.ndarray:
         )
         prev = pkt
     return rows
+
+
+def reference_read_pcap(fh: BinaryIO) -> Capture:
+    """The per-frame loop that :func:`evasionlab.pcapio.read_pcap` replaced,
+    kept as its reference: each frame is decoded to a record at its offsets
+    in the one read buffer, and the records are a list."""
+    data = fh.read()
+    if len(data) < GLOBAL_HEADER.size:
+        raise TruncatedFileError(
+            f"pcap global header needs {GLOBAL_HEADER.size} bytes, got {len(data)}"
+        )
+    (magic_le,) = struct.unpack_from("<I", data)
+    if magic_le == PCAP_MAGIC_LE:
+        endian = "<"
+    elif magic_le == PCAP_MAGIC_BE:
+        endian = ">"
+    else:
+        raise BadMagicError(f"not a classic pcap file (magic 0x{magic_le:08x})")
+    network = struct.unpack_from(endian + GLOBAL_HEADER.format, data)[-1]
+    if network != LINKTYPE_ETHERNET:
+        raise BadMagicError(f"unsupported link type {network}, want Ethernet (1)")
+
+    unpack_record = struct.Struct(endian + RECORD_HEADER.format).unpack_from
+    records: list[PacketRecord] = []
+    total = skipped_link = skipped_protocol = 0
+    pos, size = GLOBAL_HEADER.size, len(data)
+    while pos < size:
+        if size - pos < RECORD_HEADER.size:
+            raise TruncatedFileError("pcap record header truncated at end of file")
+        ts_sec, ts_usec, incl_len, _orig_len = unpack_record(data, pos)
+        start = pos + RECORD_HEADER.size
+        pos = start + incl_len
+        if pos > size:
+            raise TruncatedFileError(
+                f"expected {incl_len} bytes for pcap record body, got {size - start}"
+            )
+        total += 1
+        if incl_len < ETH_HEADER_LEN or data[start + 12] != 0x08 or data[start + 13] != 0x00:
+            skipped_link += 1
+            continue
+        try:
+            pkt = PacketRecord.decode(
+                data, ts_sec + ts_usec / 1_000_000, start + ETH_HEADER_LEN, pos
+            )
+        except ValueError:
+            skipped_protocol += 1
+            continue
+        if pkt.ip.protocol != IPPROTO_TCP:
+            skipped_protocol += 1
+            continue
+        records.append(pkt)
+    stats = CaptureStats(
+        packets_total=total,
+        packets_tcp=len(records),
+        packets_skipped=skipped_link + skipped_protocol,
+        skipped_link=skipped_link,
+        skipped_protocol=skipped_protocol,
+    )
+    return Capture(records=records, stats=stats)
+
+
+def reference_group_flows(records: list[PacketRecord]) -> list[FlowTrace]:
+    """The loop over packet objects that :func:`evasionlab.pcapio.group_flows`
+    replaced, kept as its reference; each flow's packets are a list."""
+    flows: dict[FlowKey, list[PacketRecord]] = {}  # in order of first packet
+    frag_owner: dict[tuple[int, int, int], FlowKey] = {}
+    for pkt in records:
+        ip, tcp = pkt.ip, pkt.tcp
+        if tcp is not None:
+            key = (ip.src_addr, tcp.src_port, ip.dst_addr, tcp.dst_port)
+        else:
+            frag = (ip.src_addr, ip.dst_addr, ip.identification)
+            key = frag_owner.get(frag)
+            if key is None:
+                if ip.frag_offset != 0 or len(pkt.payload) < 4:
+                    continue
+                # first fragment: TCP source/destination ports lead the payload
+                sport, dport = struct.unpack_from("!HH", pkt.payload)
+                key = frag_owner[frag] = (ip.src_addr, sport, ip.dst_addr, dport)
+        flow = flows.get(key)
+        if flow is None:
+            flows[key] = [pkt]
+        else:
+            flow.append(pkt)
+    return [FlowTrace(key=key, packets=packets) for key, packets in flows.items()]
+
+
+def assert_table_path_matches_reference(raw: bytes) -> None:
+    """Reading, grouping and featurizing the capture ``raw`` through the
+    packet table gives what the reference loops give: the same error type
+    and message, or the same stats, records, flows and feature bytes. The
+    records' own table (``group_flows`` on a list) must agree too."""
+    try:
+        want = reference_read_pcap(io.BytesIO(raw))
+    except EvasionLabError as exc:
+        try:
+            read_pcap(io.BytesIO(raw))
+        except EvasionLabError as got:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+        else:
+            raise AssertionError(f"read_pcap did not raise {exc!r}")
+        return
+    cap = read_pcap(io.BytesIO(raw))
+    assert cap.stats == want.stats
+    assert list(cap.records) == want.records
+    reference = reference_group_flows(want.records)
+    for flows in (group_flows(cap.records), group_flows(want.records)):
+        assert [(f.key, len(f)) for f in flows] == [(f.key, len(f)) for f in reference]
+        for got, ref in zip(flows, reference):
+            assert list(got.packets) == ref.packets
+            assert feature_matrix(got).tobytes() == reference_feature_matrix(ref).tobytes()
 
 
 SRC = str_to_addr("10.0.0.1")

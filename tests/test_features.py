@@ -38,7 +38,13 @@ from evasionlab.synth import (
     build_labeled_corpus,
     generate_clean_flow,
 )
-from helpers import handshake_trace, make_packet, reference_feature_matrix, wire_packet
+from helpers import (
+    assert_table_path_matches_reference,
+    handshake_trace,
+    make_packet,
+    reference_feature_matrix,
+    wire_packet,
+)
 
 # column indices, fixed by the format
 IPLEN, IPOFF, IPFLAG, IPTTLDIFF = 0, 1, 2, 3
@@ -328,6 +334,13 @@ def test_feature_matrix_matches_the_reference_bytes(trace):
     got = feature_matrix(trace)
     assert got.shape == (len(trace), FEATURE_DIM) and got.dtype == np.float32
     assert got.tobytes() == reference_feature_matrix(trace).tobytes()
+
+
+@given(mixed_flows())
+def test_captured_flow_features_match_the_reference_bytes(trace):
+    buf = io.BytesIO()
+    write_pcap(buf, trace.packets)
+    assert_table_path_matches_reference(buf.getvalue())
 
 
 def test_sequence_jump_of_half_the_space_reads_negative():

@@ -657,6 +657,20 @@ def test_predict_rows_of_the_wrong_width_rejected(scaled):
         model.predict(np.ones((5, 10)))
 
 
+@pytest.mark.parametrize("scaled", [False, True])
+def test_predict_reads_float32_and_float64_rows_alike(scaled):
+    config = ModelConfig(hidden=4, input_dim=16, classes=3, frame=5)
+    model = BiLstmModel.initialize(config, seed=2)
+    rng = np.random.default_rng(4)
+    if scaled:
+        model.scaler = FeatureScaler(shift=rng.normal(size=16), scale=rng.uniform(0.5, 2, 16))
+    window = rng.normal(scale=100.0, size=(5, 16)).astype(np.float32)
+    label, probs = model.predict(window)
+    for rows in (window.astype(np.float64), window.tolist()):
+        got_label, got = model.predict(rows)
+        assert got_label == label and got.tobytes() == probs.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(3,), (0,), (1, 3, 3), ()])
 def test_predict_rows_not_a_matrix_rejected(shape):
     config = ModelConfig(hidden=4, input_dim=3, classes=3, frame=4)

@@ -33,6 +33,7 @@ from helpers import (
     DST,
     SPORT,
     SRC,
+    assert_table_path_matches_reference,
     make_fragment,
     make_ip,
     make_packet,
@@ -53,7 +54,7 @@ def test_round_trip_preserves_packets():
         make_packet(101, b"abcdefgh", ts=1.25),
     ]
     cap = roundtrip(packets)
-    assert cap.records == packets
+    assert list(cap.records) == packets
     assert cap.stats.packets_total == 2
     assert cap.stats.packets_tcp == 2
     assert cap.stats.packets_skipped == 0
@@ -136,7 +137,8 @@ def test_short_reads_are_not_truncation():
     buf = io.BytesIO()
     write_pcap(buf, trace.packets)
     cap = read_pcap(_ShortReads(buf.getvalue()))
-    assert cap == read_pcap(io.BytesIO(buf.getvalue()))
+    whole = read_pcap(io.BytesIO(buf.getvalue()))
+    assert cap.stats == whole.stats and list(cap.records) == list(whole.records)
     assert cap.stats.packets_tcp == 8
 
 
@@ -178,6 +180,17 @@ def test_group_flows_attaches_fragments():
     assert len(flows) == 1
     assert len(flows[0].packets) == 3
     assert flows[0].key == (SRC, SPORT, DST, DPORT)
+
+
+def test_segment_after_fragments_has_no_overlap_predecessor():
+    syn = make_packet(1, b"", syn=True, ts=0.0, ident=1)
+    raw = make_packet(2, b"A" * 12, ts=0.1, ident=2).ip_payload()
+    f0 = make_fragment(2, 0, raw[:24], mf=True, ts=0.1)
+    f1 = make_fragment(2, 3, raw[24:], mf=False, ts=0.1001)
+    data = capture_bytes([syn, f0, f1, make_packet(14, b"B" * 5, ts=0.2, ident=3)])
+    assert_table_path_matches_reference(data)
+    rows = feature_matrix(group_flows(read_pcap(io.BytesIO(data)).records)[0])
+    assert rows[3, 9] == ABSENT and rows[3, 8] == 14 - 2  # expected after the SYN
 
 
 def test_overlapping_first_fragment_keeps_its_flow():
@@ -223,6 +236,8 @@ def ipv4_frame(ip_bytes):
 
 
 def test_each_frame_decodes_its_ip_header_once(monkeypatch):
+    # reading, grouping and featurizing build no header objects; each
+    # record built from the capture decodes its IP header once
     trace = apply_evasion(generate_clean_flow(5, 8), EvasionLabel.IP_FRAG, SynthParams())
     raw = capture_bytes(trace.packets)
     decode = Ipv4Header.decode
@@ -234,7 +249,11 @@ def test_each_frame_decodes_its_ip_header_once(monkeypatch):
 
     monkeypatch.setattr(Ipv4Header, "decode", classmethod(counting_decode))
     cap = read_pcap(io.BytesIO(raw))
+    for flow in group_flows(cap.records):
+        feature_matrix(flow)
     assert cap.stats.packets_tcp == len(trace.packets)
+    assert calls == []
+    assert [p.encode() for p in cap.records] == [p.encode() for p in trace.packets]
     assert len(calls) == len(trace.packets)
 
 
@@ -272,12 +291,38 @@ def _long_total_length_frame():
     return ipv4_frame(bytes(raw))
 
 
+def _patched_frame(pkt, patches):
+    """``pkt`` encoded, with the bytes at each offset of ``patches`` replaced."""
+    raw = bytearray(pkt.encode())
+    for offset, data in patches.items():
+        raw[offset : offset + len(data)] = data
+    return ipv4_frame(bytes(raw))
+
+
+def _short_segment_frame():
+    return ipv4_frame(make_ip(12, tcp_len=0).with_checksum().encode() + bytes(12))
+
+
 @pytest.mark.parametrize("frame, link, protocol", [
     pytest.param(bytes(12) + struct.pack("!H", 0x86DD) + bytes(40), 1, 0, id="ipv6"),
     pytest.param(bytes(10), 1, 0, id="short-ethernet"),
     pytest.param(_udp_frame(), 0, 1, id="udp"),
     pytest.param(_bad_ihl_frame(), 0, 1, id="bad-ihl"),
     pytest.param(_long_total_length_frame(), 0, 1, id="total-length-past-end"),
+    # read 16 bytes in, the TCP header would look whole: its data offset
+    # nibble lands on the real header's acknowledgment number, set to 5
+    pytest.param(_patched_frame(make_packet(3, b"ihl"), {0: b"\x44", 28: b"\x50"}), 0, 1,
+                 id="ihl-4"),
+    pytest.param(_patched_frame(make_packet(3, b"v6"), {0: b"\x65"}), 0, 1, id="version-6"),
+    pytest.param(_patched_frame(make_packet(3, b"tl"), {2: struct.pack("!H", 19)}), 0, 1,
+                 id="total-length-below-header"),
+    pytest.param(_patched_frame(make_fragment(9, 3, b"f" * 16, mf=True),
+                                {6: struct.pack("!H", 0x3FFF)}), 0, 1, id="fragment-past-64k"),
+    pytest.param(_short_segment_frame(), 0, 1, id="segment-below-20"),
+    pytest.param(_patched_frame(make_packet(3, b"do"), {32: b"\x40"}), 0, 1,
+                 id="data-offset-4"),
+    pytest.param(_patched_frame(make_packet(3, b"do"), {32: b"\x70"}), 0, 1,
+                 id="data-offset-past-segment"),
 ])
 def test_skipped_frames_are_counted_by_reason(frame, link, protocol):
     raw = capture_bytes([make_packet(10, b"keep")], [frame])
@@ -287,6 +332,7 @@ def test_skipped_frames_are_counted_by_reason(frame, link, protocol):
         packets_total=2, packets_tcp=1, packets_skipped=1,
         skipped_link=link, skipped_protocol=protocol,
     )
+    assert_table_path_matches_reference(raw)
 
 
 _MUTATION_BASE = capture_bytes(
@@ -386,5 +432,47 @@ def test_mutated_captures_read_as_golden():
         except EvasionLabError as exc:
             digest.update(repr((type(exc).__name__, str(exc))).encode())
         else:
-            digest.update(repr((astuple(cap.stats), cap.records)).encode())
+            digest.update(repr((astuple(cap.stats), list(cap.records))).encode())
     assert digest.hexdigest() == GOLDEN_MUTATED
+
+
+# -- the packet table against the per-frame and per-object reference loops --
+
+
+def test_table_path_matches_the_reference_on_mutated_captures():
+    for raw in _mutated_captures():
+        assert_table_path_matches_reference(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_MUTATION_BASE) - 1), st.integers(1, 255)),
+                min_size=1, max_size=3))
+def test_table_path_matches_the_reference_on_flipped_bytes(flips):
+    raw = bytearray(_MUTATION_BASE)
+    for index, mask in flips:
+        raw[index] ^= mask
+    assert_table_path_matches_reference(bytes(raw))
+
+
+@pytest.mark.parametrize("name, flows_per_class", [
+    ("plain", 4), ("overlap", 4), ("detect", 2), pytest.param("detect", 30, id="detect-sized"),
+])
+def test_table_path_matches_the_reference_on_synthesized_captures(name, flows_per_class):
+    params, kwargs = _DECODE_CORPORA[name]
+    corpus = build_labeled_corpus(flows_per_class, params, seed=(1 << 24) | 1, **kwargs)
+    assert_table_path_matches_reference(
+        capture_bytes([p for trace, _ in corpus for p in trace.packets])
+    )
+
+
+def test_regrouped_feature_rows_belong_to_the_caller():
+    corpus = build_labeled_corpus(1, SynthParams(), seed=31)
+    cap = roundtrip([p for trace, _ in corpus for p in trace.packets])
+    flows = group_flows(cap.records)
+    want = [feature_matrix(flow).copy() for flow in flows]
+    for flow in flows[:2]:
+        feature_matrix(flow)[:] = 99.0
+    again = group_flows(cap.records)
+    for flow, other, rows in zip(flows, again, want):
+        assert feature_matrix(flow).tobytes() == rows.tobytes()
+        assert feature_matrix(other).tobytes() == rows.tobytes()
