@@ -167,15 +167,18 @@ def _convert_config(sub: argparse.ArgumentParser, raw: dict[str, str]) -> dict:
 
 
 def _synth_params(args) -> SynthParams:
-    return SynthParams(
-        seed=args.seed,
-        frag_units=args.frag_units,
-        seg_bytes=args.seg_bytes,
-        chaff_rate=args.chaff_rate,
-        ttl_floor=args.ttl_floor,
-        tos_values=tuple(args.tos_values),
-        overlap=args.overlap,
-    )
+    try:
+        return SynthParams(
+            seed=args.seed,
+            frag_units=args.frag_units,
+            seg_bytes=args.seg_bytes,
+            chaff_rate=args.chaff_rate,
+            ttl_floor=args.ttl_floor,
+            tos_values=tuple(args.tos_values),
+            overlap=args.overlap,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _windows_from_corpus(corpus, frame: int) -> list[FeatureSequence]:

@@ -1,9 +1,11 @@
 """Typed IPv4/TCP packet model with byte-exact serialization.
 
-All header types are frozen dataclasses: transforms never mutate a packet,
-they build modified copies with :func:`evolve`, which validates each copy
-as the constructor does. Addresses are kept as 32-bit ints; helpers convert
-to/from dotted quads for display only.
+All header types are frozen dataclasses and nothing mutates a packet once
+it is shared. The transforms of :mod:`evasionlab.synth` build each new
+header with one positional constructor call, reading unchanged fields from
+the source header; :func:`evolve` makes a validated copy with some fields
+changed, for callers that change a few fields of one header. Addresses are
+kept as 32-bit ints; helpers convert to/from dotted quads for display only.
 
 Each header field holds the wire's bits. ``Ipv4Header.flags`` is the 3-bit
 field above the fragment offset (reserved, ``IP_DF``, ``IP_MF``) and
@@ -14,13 +16,15 @@ them on decode, so ``encode(decode(frame)) == frame`` for every frame that
 decodes, whatever its option bytes hold. Readers of option values walk the
 bytes themselves (see :mod:`evasionlab.features`).
 
-``Ipv4Header.with_checksum`` and ``PacketRecord.with_checksums`` take the
-field changes themselves, so a rewritten packet costs one copy per header
-it changes plus one record. The checksum is computed on that fresh copy
-and written into its field before the copy is returned; nothing else
-holds the copy yet, so no shared header ever changes. Checksums are always
-recomputed from the header bytes, never updated from the stored value, so
-a packet that arrives with a wrong checksum leaves with a valid one.
+``Ipv4Header.with_checksum`` and ``PacketRecord.with_checksums`` are the
+public copy API: they take the field changes themselves, so a rewritten
+packet costs one copy per header it changes plus one record. A header's
+``_write_checksum`` computes its checksum and writes it into the header
+(XOR a mask, for chaff whose checksum must be wrong); it is only called on
+a header just built that nothing else holds yet, so no shared header ever
+changes. Checksums are always recomputed from the header bytes, never
+updated from the stored value, so a packet that arrives with a wrong
+checksum leaves with a valid one.
 
 The TCP checksum sums its segment as two integers, the encoded header and
 the payload, and never concatenates them: the payload's integer, the one
@@ -431,26 +435,14 @@ class PacketRecord:
         one. Each checksum is computed on the new header and written into
         it before the copy is returned.
         """
-        return self._with_checksums(ip_changes, tcp_changes, changes)
-
-    def _with_checksums(
-        self,
-        ip_changes: Mapping,
-        tcp_changes: Mapping,
-        changes: Mapping,
-        ip_mask: int = 0,
-        tcp_mask: int = 0,
-    ) -> "PacketRecord":
-        """:meth:`with_checksums` whose checksums are XORed with the masks;
-        a nonzero mask makes chaff whose checksum is deliberately wrong."""
-        ip = evolve(self.ip, **ip_changes)._write_checksum(ip_mask)
+        ip = evolve(self.ip, **ip_changes)._write_checksum()
         tcp = self.tcp
         if tcp is not None:
             payload = changes.get("payload", self.payload)
             if tcp_changes:
-                tcp = evolve(tcp, **tcp_changes)._write_checksum(ip, payload, tcp_mask)
+                tcp = evolve(tcp, **tcp_changes)._write_checksum(ip, payload)
             else:
-                checksum = _zeroed_tcp_checksum(ip, tcp, payload) ^ tcp_mask
+                checksum = _zeroed_tcp_checksum(ip, tcp, payload)
                 if checksum != tcp.checksum:
                     tcp = evolve(tcp, checksum=checksum)
         return evolve(self, ip=ip, tcp=tcp, **changes)

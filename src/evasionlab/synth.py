@@ -7,6 +7,14 @@ pads headers without touching the stream. Every transform must satisfy one
 contract, checked by :func:`evasionlab.receiver.normalize_receive`: the
 normalized receiver sees exactly the clean flow's bytes.
 
+A transform never changes a packet it is given: each packet it rewrites
+is built anew, one positional constructor call per header (``_ip`` and
+``_tcp`` read the unchanged fields from the source header) and one for
+the record. Each new header gets its checksum written once, recomputed
+from its own bytes and XORed with a mask where a chaff needs a wrong one;
+a TCP header none of whose fields change and whose stored checksum is
+already right is shared with the source packet.
+
 All randomness flows from ``random.Random`` seeded per call, so identical
 inputs give byte-identical outputs.
 """
@@ -32,6 +40,7 @@ from .packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
+    _zeroed_tcp_checksum,
 )
 
 
@@ -87,10 +96,12 @@ class SynthParams:
             raise ValueError("seg_bytes must be >= 1")
         if not 0.0 < self.chaff_rate <= 1.0:
             raise ValueError("chaff_rate must be in (0, 1]")
-        if self.ttl_floor < 0:
-            raise ValueError("ttl_floor must be >= 0")
+        if not 0 <= self.ttl_floor <= 255:
+            raise ValueError("ttl_floor must be in [0, 255]")
         if not self.tos_values:
             raise ValueError("tos_values must be non-empty")
+        if not all(0 <= tos <= 255 for tos in self.tos_values):
+            raise ValueError(f"tos_values {self.tos_values} must each be in [0, 255]")
 
 
 def generate_clean_flow(
@@ -122,28 +133,13 @@ def generate_clean_flow(
 
     def build(seq: int, payload: bytes, idx: int, syn: bool) -> PacketRecord:
         ip = Ipv4Header(
-            ihl=5,
-            tos=0,
-            total_length=40 + len(payload),
-            identification=(ip_id + idx) & 0xFFFF,
-            flags=IP_DF,
-            frag_offset=0,
-            ttl=64,
-            protocol=6,
-            checksum=0,
-            src_addr=src,
-            dst_addr=dst,
+            5, 0, 40 + len(payload), (ip_id + idx) & 0xFFFF, IP_DF, 0, 64, 6, 0, src, dst
         )._write_checksum()
         tcp = TcpHeader(
-            src_port=sport,
-            dst_port=dport,
-            seq=seq,
-            ack=0 if syn else ack_val,
-            data_offset=5,
-            flags=TCP_SYN if syn else TCP_PSH | TCP_ACK,
-            window=64240,
+            sport, dport, seq, 0 if syn else ack_val, 5,
+            TCP_SYN if syn else TCP_PSH | TCP_ACK, 64240,
         )._write_checksum(ip, payload)
-        return PacketRecord(ts=ts + 0.01 * idx, ip=ip, tcp=tcp, payload=payload)
+        return PacketRecord(ts + 0.01 * idx, ip, tcp, payload)
 
     packets = [build(isn, b"", 0, syn=True)]
     seq = (isn + 1) & 0xFFFFFFFF
@@ -170,6 +166,74 @@ def _junk(rng: random.Random, n: int) -> bytes:
     return rng.randbytes(n)
 
 
+def _ip(
+    ip: Ipv4Header,
+    total_length: int,
+    mask: int = 0,
+    *,
+    tos: int | None = None,
+    ttl: int | None = None,
+    flags: int | None = None,
+    frag_offset: int | None = None,
+    ihl: int | None = None,
+    options: bytes | None = None,
+) -> Ipv4Header:
+    """A new header: ``ip`` with ``total_length`` and the fields given,
+    built by one constructor call, its checksum written XOR ``mask``."""
+    return Ipv4Header(
+        ip.ihl if ihl is None else ihl,
+        ip.tos if tos is None else tos,
+        total_length,
+        ip.identification,
+        ip.flags if flags is None else flags,
+        ip.frag_offset if frag_offset is None else frag_offset,
+        ip.ttl if ttl is None else ttl,
+        ip.protocol,
+        0,
+        ip.src_addr,
+        ip.dst_addr,
+        ip.options if options is None else options,
+    )._write_checksum(mask)
+
+
+def _tcp(
+    tcp: TcpHeader,
+    ip: Ipv4Header,
+    payload: bytes,
+    mask: int = 0,
+    *,
+    seq: int | None = None,
+    data_offset: int | None = None,
+    options: bytes | None = None,
+) -> TcpHeader:
+    """The TCP header of ``payload`` under ``ip``: ``tcp`` with the fields
+    given and its checksum written XOR ``mask``.
+
+    When no field changes and ``tcp`` already stores that checksum, ``tcp``
+    itself is returned; otherwise one constructor call builds the header.
+    """
+    if seq is None and data_offset is None and options is None:
+        checksum = _zeroed_tcp_checksum(ip, tcp, payload) ^ mask
+        if checksum == tcp.checksum:
+            return tcp
+        return TcpHeader(
+            tcp.src_port, tcp.dst_port, tcp.seq, tcp.ack, tcp.data_offset,
+            tcp.flags, tcp.window, checksum, tcp.urgent, tcp.options,
+        )
+    return TcpHeader(
+        tcp.src_port,
+        tcp.dst_port,
+        tcp.seq if seq is None else seq,
+        tcp.ack,
+        tcp.data_offset if data_offset is None else data_offset,
+        tcp.flags,
+        tcp.window,
+        0,
+        tcp.urgent,
+        tcp.options if options is None else options,
+    )._write_checksum(ip, payload, mask)
+
+
 def _ip_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
     """After each real packet, a duplicate with random payload and a
     deliberately broken IP header checksum."""
@@ -179,11 +243,11 @@ def _ip_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, rng.randint(8, 64))
-        ip_changes = {"total_length": pkt.ip.header_length
-                      + (pkt.tcp.header_length if pkt.tcp else 0) + len(junk)}
-        out.append(pkt._with_checksums(
-            ip_changes, {}, {"ts": pkt.ts + 1e-5, "payload": junk}, ip_mask=0xFFFF
-        ))
+        tcp = pkt.tcp
+        headers_length = pkt.ip.header_length + (0 if tcp is None else tcp.header_length)
+        ip = _ip(pkt.ip, headers_length + len(junk), 0xFFFF)
+        tcp = None if tcp is None else _tcp(tcp, ip, junk)
+        out.append(PacketRecord(pkt.ts + 1e-5, ip, tcp, junk))
     return out
 
 
@@ -198,9 +262,9 @@ def _ip_ttl(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, len(pkt.payload))
-        out.append(pkt.with_checksums(
-            {"ttl": params.ttl_floor}, ts=pkt.ts + 1e-5, payload=junk
-        ))
+        ip = _ip(pkt.ip, pkt.ip.total_length, ttl=params.ttl_floor)
+        tcp = None if pkt.tcp is None else _tcp(pkt.tcp, ip, junk)
+        out.append(PacketRecord(pkt.ts + 1e-5, ip, tcp, junk))
     return out
 
 
@@ -210,15 +274,12 @@ def _tcp_chaff(trace: FlowTrace, params: SynthParams, rng: random.Random):
     out: list[PacketRecord] = []
     for pkt in trace.packets:
         out.append(pkt)
-        if pkt.tcp is None or rng.random() >= params.chaff_rate:
+        tcp = pkt.tcp
+        if tcp is None or rng.random() >= params.chaff_rate:
             continue
         junk = _junk(rng, len(pkt.payload) or 8)
-        ip_changes = {
-            "total_length": pkt.ip.header_length + pkt.tcp.header_length + len(junk)
-        }
-        out.append(pkt._with_checksums(
-            ip_changes, {}, {"ts": pkt.ts + 1e-5, "payload": junk}, tcp_mask=0xFFFF
-        ))
+        ip = _ip(pkt.ip, pkt.ip.header_length + tcp.header_length + len(junk))
+        out.append(PacketRecord(pkt.ts + 1e-5, ip, _tcp(tcp, ip, junk, 0xFFFF), junk))
     return out
 
 
@@ -241,20 +302,16 @@ def _ip_frag(trace: FlowTrace, params: SynthParams, rng: random.Random):
         if len(chunks) == 1:
             out.append(pkt)
             continue
+        header_length = pkt.ip.header_length
         for j, chunk in enumerate(chunks):
             offset_units = j * params.frag_units
             data = chunk
             if params.overlap and j > 0:
                 offset_units -= 1
                 data = _junk(rng, 8) + chunk
-            ip = pkt.ip.with_checksum(
-                flags=IP_MF if j < len(chunks) - 1 else 0,
-                frag_offset=offset_units,
-                total_length=pkt.ip.header_length + len(data),
-            )
-            out.append(
-                PacketRecord(ts=pkt.ts + j * 1e-5, ip=ip, tcp=None, payload=data)
-            )
+            ip = _ip(pkt.ip, header_length + len(data),
+                     flags=IP_MF if j < len(chunks) - 1 else 0, frag_offset=offset_units)
+            out.append(PacketRecord(pkt.ts + j * 1e-5, ip, None, data))
     return out
 
 
@@ -263,11 +320,10 @@ def _ip_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
     opts = bytes([1, 7, 7, 4, 0, 0, 0, 0])  # NOP, then RR: kind 7, len 7, ptr 4
     out: list[PacketRecord] = []
     for pkt in trace.packets:
-        out.append(pkt.with_checksums({
-            "ihl": pkt.ip.ihl + 2,
-            "total_length": pkt.ip.total_length + len(opts),
-            "options": pkt.ip.options + opts,
-        }))
+        ip = pkt.ip
+        ip = _ip(ip, ip.total_length + len(opts), ihl=ip.ihl + 2, options=ip.options + opts)
+        tcp = None if pkt.tcp is None else _tcp(pkt.tcp, ip, pkt.payload)
+        out.append(PacketRecord(pkt.ts, ip, tcp, pkt.payload))
     return out
 
 
@@ -276,7 +332,9 @@ def _ip_tos(trace: FlowTrace, params: SynthParams, rng: random.Random):
     values = params.tos_values
     out: list[PacketRecord] = []
     for j, pkt in enumerate(trace.packets):
-        out.append(pkt.with_checksums({"tos": values[j % len(values)]}))
+        ip = _ip(pkt.ip, pkt.ip.total_length, tos=values[j % len(values)])
+        tcp = None if pkt.tcp is None else _tcp(pkt.tcp, ip, pkt.payload)
+        out.append(PacketRecord(pkt.ts, ip, tcp, pkt.payload))
     return out
 
 
@@ -298,10 +356,10 @@ def _tcp_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
         else:
             out.append(pkt)
             continue
-        out.append(pkt.with_checksums(
-            {"total_length": pkt.ip.total_length + len(options)},
-            {"data_offset": 5 + len(options) // 4, "options": options},
-        ))
+        ip = _ip(pkt.ip, pkt.ip.total_length + len(options))
+        tcp = _tcp(pkt.tcp, ip, pkt.payload, data_offset=5 + len(options) // 4,
+                   options=options)
+        out.append(PacketRecord(pkt.ts, ip, tcp, pkt.payload))
     return out
 
 
@@ -330,12 +388,9 @@ def _tcp_seg(trace: FlowTrace, params: SynthParams, rng: random.Random):
                 pieces.append((seq_j - params.seg_bytes, _junk(rng, params.seg_bytes)))
             pieces.append((seq_j, chunk))
         for emitted, (seq, payload) in enumerate(pieces):
-            out.append(pkt.with_checksums(
-                {"total_length": headers_length + len(payload)},
-                {"seq": seq & 0xFFFFFFFF},
-                ts=pkt.ts + emitted * 1e-4,
-                payload=payload,
-            ))
+            ip = _ip(pkt.ip, headers_length + len(payload))
+            tcp = _tcp(pkt.tcp, ip, payload, seq=seq & 0xFFFFFFFF)
+            out.append(PacketRecord(pkt.ts + emitted * 1e-4, ip, tcp, payload))
     return out
 
 

@@ -6,6 +6,7 @@ structures.
 """
 
 import io
+import random
 import struct
 from dataclasses import replace
 from typing import BinaryIO
@@ -13,7 +14,13 @@ from typing import BinaryIO
 import numpy as np
 from hypothesis import strategies as st
 
-from evasionlab.errors import BadMagicError, EvasionLabError, ShapeMismatchError, TruncatedFileError
+from evasionlab.errors import (
+    BadMagicError,
+    EmptyPayloadError,
+    EvasionLabError,
+    ShapeMismatchError,
+    TruncatedFileError,
+)
 from evasionlab.features import (
     ABSENT,
     FEATURE_DIM,
@@ -38,6 +45,7 @@ from evasionlab.packets import (
     TCP_ACK,
     TCP_FIN,
     TCP_OPT_MSS,
+    TCP_OPT_NOP,
     TCP_OPT_TIMESTAMP,
     TCP_OPT_WSCALE,
     TCP_PSH,
@@ -47,6 +55,7 @@ from evasionlab.packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
+    evolve,
 )
 from evasionlab.pcapio import (
     ETH_HEADER_LEN,
@@ -60,6 +69,7 @@ from evasionlab.pcapio import (
     group_flows,
     read_pcap,
 )
+from evasionlab.synth import EvasionLabel, SynthParams
 
 
 def addr_to_str(addr: int) -> str:
@@ -239,6 +249,118 @@ def assert_table_path_matches_reference(raw: bytes) -> None:
         for got, ref in zip(flows, reference):
             assert list(got.packets) == ref.packets
             assert feature_matrix(got).tobytes() == reference_feature_matrix(ref).tobytes()
+
+
+def _flip_ip_checksum(pkt: PacketRecord) -> PacketRecord:
+    return evolve(pkt, ip=evolve(pkt.ip, checksum=pkt.ip.checksum ^ 0xFFFF))
+
+
+def _flip_tcp_checksum(pkt: PacketRecord) -> PacketRecord:
+    return evolve(pkt, tcp=evolve(pkt.tcp, checksum=pkt.tcp.checksum ^ 0xFFFF))
+
+
+def reference_apply_evasion(
+    trace: FlowTrace, label: EvasionLabel, params: SynthParams
+) -> FlowTrace:
+    """The copy-based transforms that :func:`evasionlab.synth.apply_evasion`
+    replaced, kept as its reference: every rewritten packet is one
+    ``with_checksums`` copy of its source, and a chaff's checksum is then
+    flipped (``valid ^ 0xFFFF``) in a further copy. The random draws come
+    in the same order as in the library."""
+    rng = random.Random(params.seed)
+    label = EvasionLabel(label)
+    if label in (EvasionLabel.IP_FRAG, EvasionLabel.TCP_SEG):
+        if not any(p.payload for p in trace.packets if p.tcp is not None):
+            raise EmptyPayloadError(f"{label.tag} needs at least one payload-bearing packet")
+    if label is EvasionLabel.TCP_OPT:
+        tsval = rng.randrange(1, 1 << 31)
+    out: list[PacketRecord] = []
+    for j, pkt in enumerate(trace.packets):
+        ip, tcp = pkt.ip, pkt.tcp
+        if label is EvasionLabel.IP_CHAFF:
+            out.append(pkt)
+            if rng.random() >= params.chaff_rate:
+                continue
+            junk = rng.randbytes(rng.randint(8, 64))
+            length = ip.header_length + (tcp.header_length if tcp else 0) + len(junk)
+            out.append(_flip_ip_checksum(pkt.with_checksums(
+                {"total_length": length}, ts=pkt.ts + 1e-5, payload=junk)))
+        elif label is EvasionLabel.IP_TTL:
+            out.append(pkt)
+            if rng.random() >= params.chaff_rate:
+                continue
+            junk = rng.randbytes(len(pkt.payload))
+            out.append(pkt.with_checksums(
+                {"ttl": params.ttl_floor}, ts=pkt.ts + 1e-5, payload=junk))
+        elif label is EvasionLabel.TCP_CHAFF:
+            out.append(pkt)
+            if tcp is None or rng.random() >= params.chaff_rate:
+                continue
+            junk = rng.randbytes(len(pkt.payload) or 8)
+            length = ip.header_length + tcp.header_length + len(junk)
+            out.append(_flip_tcp_checksum(pkt.with_checksums(
+                {"total_length": length}, ts=pkt.ts + 1e-5, payload=junk)))
+        elif label is EvasionLabel.IP_FRAG:
+            if tcp is None or not pkt.payload:
+                out.append(pkt)
+                continue
+            size = params.frag_units * 8
+            raw = pkt.ip_payload()
+            chunks = [raw[i : i + size] for i in range(0, len(raw), size)]
+            if len(chunks) == 1:
+                out.append(pkt)
+                continue
+            for k, chunk in enumerate(chunks):
+                offset_units = k * params.frag_units
+                if params.overlap and k > 0:
+                    offset_units -= 1
+                    chunk = rng.randbytes(8) + chunk
+                out.append(PacketRecord(pkt.ts + k * 1e-5, ip.with_checksum(
+                    flags=IP_MF if k < len(chunks) - 1 else 0,
+                    frag_offset=offset_units,
+                    total_length=ip.header_length + len(chunk),
+                ), None, chunk))
+        elif label is EvasionLabel.IP_OPT:
+            opts = bytes([1, 7, 7, 4, 0, 0, 0, 0])
+            out.append(pkt.with_checksums({
+                "ihl": ip.ihl + 2,
+                "total_length": ip.total_length + len(opts),
+                "options": ip.options + opts,
+            }))
+        elif label is EvasionLabel.IP_TOS:
+            out.append(pkt.with_checksums(
+                {"tos": params.tos_values[j % len(params.tos_values)]}))
+        elif label is EvasionLabel.TCP_OPT:
+            if tcp is None or not (tcp.flags & TCP_SYN or pkt.payload):
+                out.append(pkt)
+                continue
+            if tcp.flags & TCP_SYN:
+                options = struct.pack("!BBH", TCP_OPT_MSS, 4, 1460)
+            else:
+                options = struct.pack("!BBBBII", TCP_OPT_NOP, TCP_OPT_NOP,
+                                      TCP_OPT_TIMESTAMP, 10, (tsval + j) & 0xFFFFFFFF, 0)
+            out.append(pkt.with_checksums(
+                {"total_length": ip.total_length + len(options)},
+                {"data_offset": 5 + len(options) // 4, "options": options},
+            ))
+        else:  # TCP_SEG
+            step = params.seg_bytes
+            if tcp is None or len(pkt.payload) <= step:
+                out.append(pkt)
+                continue
+            pieces = []  # (seq, payload) in emission order
+            for k in range(0, len(pkt.payload), step):
+                if params.overlap and k > 0:
+                    pieces.append((tcp.seq + k - step, rng.randbytes(step)))
+                pieces.append((tcp.seq + k, pkt.payload[k : k + step]))
+            for emitted, (seq, payload) in enumerate(pieces):
+                out.append(pkt.with_checksums(
+                    {"total_length": ip.header_length + tcp.header_length + len(payload)},
+                    {"seq": seq & 0xFFFFFFFF},
+                    ts=pkt.ts + emitted * 1e-4,
+                    payload=payload,
+                ))
+    return FlowTrace(key=trace.key, packets=out)
 
 
 SRC = str_to_addr("10.0.0.1")

@@ -80,6 +80,16 @@ def test_min_packets_below_frame_floor_is_usage_error(tmp_path, capsys):
     assert "--min-packets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, word", [
+    ("ttl_floor", 300, "ttl_floor"),
+    ("tos_values", "16,256", "tos_values"),
+    ("chaff_rate", 1.5, "chaff_rate"),
+])
+def test_synth_params_out_of_range_are_usage_errors(tmp_path, capsys, flag, value, word):
+    assert main(synth_args(tmp_path / "x.neds", **{flag: value})) == 1
+    assert word in capsys.readouterr().err
+
+
 def test_missing_input_file_is_data_error(tmp_path, capsys):
     rc = main(["extract", "--pcap", str(tmp_path / "absent.pcap"),
                "--label", "ip_frag", "--out", str(tmp_path / "o.neds")])

@@ -10,6 +10,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evasionlab.errors import EmptyPayloadError
 from evasionlab.features import feature_matrix
@@ -35,6 +37,7 @@ from evasionlab.synth import (
     build_labeled_corpus,
     generate_clean_flow,
 )
+from helpers import option_blocks, reference_apply_evasion
 
 ALL_LABELS = list(EvasionLabel)
 
@@ -347,6 +350,79 @@ def test_transform_builds_one_copy_per_rewritten_header(monkeypatch, label):
         assert counts["TcpHeader"] <= rewritten
 
 
+@st.composite
+def odd_packets(draw, ts):
+    """A TCP packet or a TCP-less fragment with random options, a payload of
+    any length and checksums that are valid or arbitrary."""
+    ihl = draw(st.integers(5, 13))  # room for ip_opt's 8 bytes
+    ip_options = draw(st.binary(min_size=(ihl - 5) * 4, max_size=(ihl - 5) * 4))
+    payload = draw(st.binary(max_size=80))
+    fragment = draw(st.booleans())
+    tcp = None
+    if not fragment:
+        tcp_options = draw(st.one_of(st.just(b""), option_blocks()))
+        tcp = TcpHeader(
+            draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)),
+            5 + len(tcp_options) // 4, draw(st.integers(0, 0xFFF)),
+            draw(st.integers(0, 0xFFFF)), draw(st.integers(0, 0xFFFF)),
+            draw(st.integers(0, 0xFFFF)), tcp_options,
+        )
+    ip = Ipv4Header(
+        ihl, draw(st.integers(0, 255)),
+        ihl * 4 + (tcp.header_length if tcp else 0) + len(payload),
+        draw(st.integers(0, 0xFFFF)),
+        draw(st.integers(0, 7)) | (IP_MF if fragment and draw(st.booleans()) else 0),
+        draw(st.integers(0, 64)) if fragment else 0,
+        draw(st.integers(0, 255)), 6, draw(st.integers(0, 0xFFFF)),
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)), ip_options,
+    )
+    pkt = PacketRecord(ts, ip, tcp, payload)
+    return pkt.with_checksums() if draw(st.booleans()) else pkt
+
+
+@st.composite
+def odd_traces(draw):
+    start = draw(st.floats(0, 2e9))
+    n = draw(st.integers(1, 6))
+    packets = [draw(odd_packets(start + 0.01 * i)) for i in range(n)]
+    return FlowTrace(key=(1, 2, 3, 4), packets=packets)
+
+
+synth_params = st.builds(
+    SynthParams,
+    seed=st.integers(0, 2**32 - 1),
+    frag_units=st.integers(1, 4),
+    seg_bytes=st.integers(1, 24),
+    chaff_rate=st.sampled_from([1.0, 0.5, 0.125]),
+    ttl_floor=st.integers(0, 255),
+    tos_values=st.lists(st.integers(0, 255), min_size=1, max_size=4).map(tuple),
+    overlap=st.booleans(),
+)
+
+
+def outcome(transform, trace, label, params):
+    try:
+        return transform(trace, label, params)
+    except (ValueError, EmptyPayloadError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS, ids=lambda label: label.tag)
+@settings(max_examples=60, deadline=None)
+@given(trace=odd_traces(), params=synth_params)
+def test_transform_matches_the_copy_based_reference(label, trace, params):
+    got = outcome(apply_evasion, trace, label, params)
+    want = outcome(reference_apply_evasion, trace, label, params)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.key == want.key
+    assert got.packets == want.packets
+    assert [p.encode() for p in got.packets] == [p.encode() for p in want.packets]
+    assert [p.ts for p in got.packets] == [p.ts for p in want.packets]
+
+
 def test_payload_transforms_need_data():
     syn_only = generate_clean_flow(0, 1)
     for label in (EvasionLabel.IP_FRAG, EvasionLabel.TCP_SEG):
@@ -378,6 +454,14 @@ def test_synth_params_validation():
         SynthParams(tos_values=())
     with pytest.raises(ValueError):
         SynthParams(ttl_floor=-1)
+    # values outside a header byte would fail later, inside encode
+    with pytest.raises(ValueError, match="ttl_floor"):
+        SynthParams(ttl_floor=300)
+    with pytest.raises(ValueError, match="tos_values"):
+        SynthParams(tos_values=(256,))
+    with pytest.raises(ValueError, match="tos_values"):
+        SynthParams(tos_values=(16, -1))
+    SynthParams(ttl_floor=255, tos_values=(0, 255))
 
 
 # -- corpus builds ----------------------------------------------------------
@@ -424,14 +508,34 @@ GOLDEN_CORPUS = {
            "5e8357870d14988ad64861c0fe67e77414c313b8cc457204ed7c81d913a1c11b"),
 }
 
+# Recorded from the build whose transforms copied packets with
+# with_checksums; the corpus is shaped like the benchmark's detect workload.
+GOLDEN_DETECT_CORPUS = {
+    False: ("9dca30c5642d35087195576170d5fabd2e7903bebf2265deb7e5060754141eb2",
+            "13d4d74a8ed6c591ac67c698e2328920c8c3068f65a996427a49333bfd14baff"),
+    True: ("37f043e0ffb962ae5f2619cf497b12a3fe4a6b307a86241a2d68c01da13f928b",
+           "1bf11ccf7b19095ccafce0692535c176554fa54ff6a6822428c9502055e81717"),
+}
 
-@pytest.mark.parametrize("overlap", [False, True])
-def test_corpus_bytes_match_golden(overlap):
-    corpus = build_labeled_corpus(2, SynthParams(overlap=overlap), seed=2024)
+
+def corpus_digests(corpus):
     buf = io.BytesIO()
     write_pcap(buf, [p for trace, _ in corpus for p in trace.packets])
     features = b"".join(
         np.ascontiguousarray(feature_matrix(trace), dtype="<f4").tobytes() for trace, _ in corpus
     )
-    assert (hashlib.sha256(buf.getvalue()).hexdigest(),
-            hashlib.sha256(features).hexdigest()) == GOLDEN_CORPUS[overlap]
+    return hashlib.sha256(buf.getvalue()).hexdigest(), hashlib.sha256(features).hexdigest()
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_corpus_bytes_match_golden(overlap):
+    corpus = build_labeled_corpus(2, SynthParams(overlap=overlap), seed=2024)
+    assert corpus_digests(corpus) == GOLDEN_CORPUS[overlap]
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_detect_shaped_corpus_bytes_match_golden(overlap):
+    params = SynthParams(frag_units=8, seg_bytes=64, overlap=overlap)
+    corpus = build_labeled_corpus(2, params, seed=2024, n_packets_range=(12, 24),
+                                  payload_len_range=(128, 512))
+    assert corpus_digests(corpus) == GOLDEN_DETECT_CORPUS[overlap]
