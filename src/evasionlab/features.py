@@ -10,7 +10,8 @@ Dimension layout (canonical order used everywhere, including on disk):
   2   ipflag              IP flags & (DF|MF): mf=1 df=2; the reserved bit is left out
   3   ipttldiff           cur.ttl - prev.ttl
   4   tcpchecksum_valid   1 if the stored TCP checksum equals the one computed
-                          with the field zeroed, else 0 (0xFFFF is never valid)
+                          with the field zeroed, else 0 (0xFFFF is never valid);
+                          the receiver's verdict, see below
   5   tcplen              TCP payload bytes
   6   tcpflag             TCP flags & 0x3F: fin=1 syn=2 rst=4 psh=8 ack=16 urg=32;
                           ECE, CWR, NS and the reserved bits feed no dim
@@ -34,6 +35,13 @@ block, NOP (1) is one byte, and every other option is kind, length, value.
 A length byte that is missing, below 2 or past the end of the block ends
 the walk; that option's kind still counts as present (dims 12, 13), but its
 value cannot be read, so dims 10 and 11 read -2 for it.
+
+Dim 4 is the verdict the normalizing receiver drops segments by. A packet
+object's is ``PacketRecord.tcp_checksum_valid``, which each record sums
+from its fields at most once and keeps, so a flow that
+:func:`evasionlab.receiver.normalize_receive` has already checked is not
+summed again; a table row's is the sum ``read_pcap`` took over its wire
+bytes.
 
 :func:`feature_matrix` takes two routes to the same values. A flow that
 :func:`evasionlab.pcapio.group_flows` returned holds row views of a packet
@@ -67,7 +75,6 @@ from .packets import (
     TCP_OPT_WSCALE,
     TCP_SYN,
     FlowTrace,
-    _zeroed_tcp_checksum,
 )
 from .pcapio import FlowRows, PacketTable
 
@@ -236,7 +243,7 @@ def feature_matrix(trace: FlowTrace) -> np.ndarray:
             end = None
         else:
             payload, seq, tcp_flags, tcp_options = pkt.payload, tcp.seq, tcp.flags, tcp.options
-            valid = 1.0 if _zeroed_tcp_checksum(ip, tcp, payload) == tcp.checksum else 0.0
+            valid = 1.0 if pkt.tcp_checksum_valid() else 0.0
             length = len(payload)
             flags = tcp_flags & 0x3F
             syn = 1 if tcp_flags & TCP_SYN else 0

@@ -22,15 +22,29 @@ packet costs one copy per header it changes plus one record. A header's
 ``_write_checksum`` computes its checksum and writes it into the header
 (XOR a mask, for chaff whose checksum must be wrong); it is only called on
 a header just built that nothing else holds yet, so no shared header ever
-changes. Checksums are always recomputed from the header bytes, never
-updated from the stored value, so a packet that arrives with a wrong
-checksum leaves with a valid one.
+changes.
 
-The TCP checksum sums its segment as two integers, the encoded header and
-the payload, and never concatenates them: the payload's integer, the one
-large one, is reduced modulo 0xFFFF once (and shifted left by 8 when its
-length is odd, which pads it for summation), and the header's integer and
-the pseudo-header's words are added to that small integer.
+Checksums are summed from the header fields, never from the stored
+checksum, so a packet that arrives with a wrong checksum leaves with a
+valid one. RFC 1071 section 2 lets the one's-complement sum run over words
+of any width in any order, as long as the carries are folded back in, so
+no header is encoded to be summed: an IP header adds its field words, its
+two 32-bit addresses and its options as one integer (each congruent modulo
+0xFFFF to the sum of its 16-bit words), and a TCP segment adds the
+pseudo-header, the TCP field words, the options integer and the payload's
+integer. The payload's integer, the one large one, is reduced modulo
+0xFFFF once (and shifted left by 8 when its length is odd, which pads it
+for summation). The byte-level ``ipv4_checksum`` and ``tcp_checksum`` sum
+encoded bytes and are the oracle for the field sums.
+
+Each header and record sums its checksum at most once and keeps the
+result: an IP header keeps the checksum of its fields with the checksum
+field zeroed (``_write_checksum`` fills it as it writes the field), and a
+record keeps its TCP verdict. Both depend only on frozen fields other than
+a checksum that ``_write_checksum`` may still write, so a kept value never
+goes stale. They are plain class attributes, not dataclass fields: copies
+made by ``evolve`` or ``dataclasses.replace`` compute their own, and
+``==``, ``hash`` and ``repr`` never see them.
 """
 
 from __future__ import annotations
@@ -141,38 +155,26 @@ def _fold(n: int) -> int:
     return n % 0xFFFF or (0xFFFF if n else 0)
 
 
-def _tcp_sum(src_addr: int, dst_addr: int, header: bytes, payload: bytes) -> int:
-    """Sum of the IPv4 pseudo-header and a TCP segment, congruent modulo
-    0xFFFF to the unfolded RFC 1071 sum.
+def _pseudo_payload_sum(
+    src_addr: int, dst_addr: int, header_length: int, payload: bytes
+) -> int:
+    """Sum of the IPv4 pseudo-header and a TCP payload carried under a
+    header of ``header_length`` bytes, congruent modulo 0xFFFF to their
+    unfolded RFC 1071 sum.
 
-    The segment is summed as two integers, ``header`` (whole 16-bit words)
-    and ``payload``. As 2**16 = 1 (mod 0xFFFF), the payload's integer is
-    congruent to the sum of its words; it is reduced modulo 0xFFFF once,
-    then shifted left by 8 when the payload's length is odd, which zero-pads
-    it for summation. The header's integer and the pseudo-header's words
-    are added to that small integer: a 32-bit address counts as its two
-    16-bit words.
+    As 2**16 = 1 (mod 0xFFFF), the payload's integer is congruent to the
+    sum of its words; it is reduced modulo 0xFFFF once, then shifted left
+    by 8 when the payload's length is odd, which zero-pads it for
+    summation. A 32-bit address counts as its two 16-bit words. The sum is
+    positive, as the pseudo-header adds protocol 6.
     """
-    length = len(header) + len(payload)
+    length = header_length + len(payload)
     if length > 0xFFFF:
         raise ValueError(f"TCP segment length {length} exceeds 65535")
     n = int.from_bytes(payload, "big") % 0xFFFF
     if len(payload) % 2:
         n <<= 8
-    return n + int.from_bytes(header, "big") + src_addr + dst_addr + IPPROTO_TCP + length
-
-
-def _checksum_if_zeroed(n: int, stored: int) -> int:
-    """Checksum of the bytes summed in ``n`` with their field ``stored`` zeroed.
-
-    Zeroing the field takes ``stored`` off the sum modulo 0xFFFF, so no
-    zeroed copy is needed: ``n + 0xFFFF - stored`` is congruent to the
-    zeroed sum. Like that sum it is never zero (``n`` is positive, as an
-    IPv4 header's version nibble is 4 and the TCP pseudo-header adds
-    protocol 6, and ``stored`` is at most 0xFFFF), so both fold to the
-    same value.
-    """
-    return 0xFFFF - _fold(n + 0xFFFF - stored)
+    return n + src_addr + dst_addr + IPPROTO_TCP + length
 
 
 def tcp_checksum(src_addr: int, dst_addr: int, tcp_bytes: bytes, payload: bytes) -> int:
@@ -184,7 +186,8 @@ def tcp_checksum(src_addr: int, dst_addr: int, tcp_bytes: bytes, payload: bytes)
     """
     if len(tcp_bytes) % 2:
         raise OddLengthError(f"TCP header has odd length {len(tcp_bytes)}")
-    return _checksum_if_zeroed(_tcp_sum(src_addr, dst_addr, tcp_bytes, payload), 0)
+    n = _pseudo_payload_sum(src_addr, dst_addr, len(tcp_bytes), payload)
+    return 0xFFFF - _fold(n + int.from_bytes(tcp_bytes, "big"))
 
 
 @dataclass(frozen=True)
@@ -256,8 +259,30 @@ class Ipv4Header:
             ver_ihl >> 4,
         )
 
+    _zeroed = None  # the checksum _zeroed_checksum computed, once it has
+
     def _zeroed_checksum(self) -> int:
-        return _checksum_if_zeroed(int.from_bytes(self.encode(), "big"), self.checksum)
+        """The checksum of this header with its checksum field zeroed.
+
+        Summed from the field values, as ``encode`` lays them out, the
+        first time it is asked for, and kept. The sum is positive, as the
+        version nibble is 4.
+        """
+        zeroed = self._zeroed
+        if zeroed is None:
+            n = (
+                ((self.version << 12) | (self.ihl << 8) | self.tos)
+                + self.total_length
+                + self.identification
+                + ((self.flags << 13) | (self.frag_offset & 0x1FFF))
+                + ((self.ttl << 8) | self.protocol)
+                + self.src_addr
+                + self.dst_addr
+                + int.from_bytes(self.options, "big")
+            )
+            zeroed = 0xFFFF - _fold(n)
+            _setattr(self, "_zeroed", zeroed)
+        return zeroed
 
     def _write_checksum(self, mask: int = 0) -> "Ipv4Header":
         """Write the recomputed checksum, XOR ``mask``, into this header.
@@ -270,14 +295,14 @@ class Ipv4Header:
     def with_checksum(self, **changes) -> "Ipv4Header":
         """One copy with ``changes`` applied and its checksum recomputed.
 
-        The checksum is computed over the copy's encoding with the field
+        The checksum is computed from the copy's fields with the field
         zeroed and written into the copy before it is returned.
         """
         return evolve(self, **changes)._write_checksum()
 
     def checksum_valid(self) -> bool:
-        """Whether the stored checksum equals the one computed over the
-        encoding with the checksum field zeroed.
+        """Whether the stored checksum equals the one computed with the
+        checksum field zeroed.
 
         The comparison is exact, so a stored 0xFFFF is never valid, even
         though an RFC 1071 verifier summing the header in place accepts it
@@ -360,9 +385,21 @@ class TcpHeader:
 
 def _zeroed_tcp_checksum(ip: Ipv4Header, tcp: TcpHeader, payload: bytes) -> int:
     """TCP checksum of ``tcp`` and ``payload`` under ``ip``, computed with
-    the field zeroed."""
-    n = _tcp_sum(ip.src_addr, ip.dst_addr, tcp.encode(), payload)
-    return _checksum_if_zeroed(n, tcp.checksum)
+    the field zeroed: the pseudo-header, the TCP field words as ``encode``
+    lays them out, the options integer and the payload, summed without
+    encoding the header."""
+    n = (
+        _pseudo_payload_sum(ip.src_addr, ip.dst_addr, tcp.data_offset * 4, payload)
+        + tcp.src_port
+        + tcp.dst_port
+        + tcp.seq
+        + tcp.ack
+        + ((tcp.data_offset << 12) | tcp.flags)
+        + tcp.window
+        + tcp.urgent
+        + int.from_bytes(tcp.options, "big")
+    )
+    return 0xFFFF - _fold(n)
 
 
 @dataclass(frozen=True)
@@ -447,17 +484,25 @@ class PacketRecord:
                     tcp = evolve(tcp, checksum=checksum)
         return evolve(self, ip=ip, tcp=tcp, **changes)
 
+    _tcp_valid = None  # the verdict tcp_checksum_valid computed, once it has
+
     def tcp_checksum_valid(self) -> bool:
         """Whether a TCP header is present and its stored checksum equals
         the one computed (pseudo-header included) with the field zeroed.
 
         The comparison is exact, so a stored 0xFFFF is never valid, even
         though an RFC 1071 verifier summing the segment in place accepts it
-        where the computed checksum is 0x0000.
+        where the computed checksum is 0x0000. The verdict is computed the
+        first time it is asked for, and kept.
         """
-        if self.tcp is None:
-            return False
-        return _zeroed_tcp_checksum(self.ip, self.tcp, self.payload) == self.tcp.checksum
+        valid = self._tcp_valid
+        if valid is None:
+            tcp = self.tcp
+            valid = tcp is not None and (
+                _zeroed_tcp_checksum(self.ip, tcp, self.payload) == tcp.checksum
+            )
+            _setattr(self, "_tcp_valid", valid)
+        return valid
 
 
 FlowKey = tuple[int, int, int, int]  # (src_addr, src_port, dst_addr, dst_port)

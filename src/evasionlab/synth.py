@@ -10,8 +10,8 @@ normalized receiver sees exactly the clean flow's bytes.
 A transform never changes a packet it is given: each packet it rewrites
 is built anew, one positional constructor call per header (``_ip`` and
 ``_tcp`` read the unchanged fields from the source header) and one for
-the record. Each new header gets its checksum written once, recomputed
-from its own bytes and XORed with a mask where a chaff needs a wrong one;
+the record. Each new header gets its checksum written once, summed
+from its own fields and XORed with a mask where a chaff needs a wrong one;
 a TCP header none of whose fields change and whose stored checksum is
 already right is shared with the source packet.
 
@@ -316,8 +316,14 @@ def _ip_frag(trace: FlowTrace, params: SynthParams, rng: random.Random):
 
 
 def _ip_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
-    """Grow every IP header by a NOP plus a record-route option (kind 7)."""
+    """Grow every IP header by a NOP plus a record-route option (kind 7).
+
+    Raises ``ValueError`` when a header has fewer than 8 of its 40 option
+    bytes free.
+    """
     opts = bytes([1, 7, 7, 4, 0, 0, 0, 0])  # NOP, then RR: kind 7, len 7, ptr 4
+    if any(pkt.ip.ihl > 13 for pkt in trace.packets):
+        raise ValueError("ip_opt needs 8 free IP option bytes; a header has fewer")
     out: list[PacketRecord] = []
     for pkt in trace.packets:
         ip = pkt.ip
@@ -339,7 +345,10 @@ def _ip_tos(trace: FlowTrace, params: SynthParams, rng: random.Random):
 
 
 def _tcp_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
-    """Append TCP options: MSS on the SYN, NOP+NOP+timestamp on data segments."""
+    """Set TCP options: MSS on the SYN, NOP+NOP+timestamp on data segments.
+
+    The new options replace any the segment already carries.
+    """
     tsval = rng.randrange(1, 1 << 31)
     out: list[PacketRecord] = []
     for j, pkt in enumerate(trace.packets):
@@ -356,7 +365,7 @@ def _tcp_opt(trace: FlowTrace, params: SynthParams, rng: random.Random):
         else:
             out.append(pkt)
             continue
-        ip = _ip(pkt.ip, pkt.ip.total_length + len(options))
+        ip = _ip(pkt.ip, pkt.ip.total_length + len(options) - len(pkt.tcp.options))
         tcp = _tcp(pkt.tcp, ip, pkt.payload, data_offset=5 + len(options) // 4,
                    options=options)
         out.append(PacketRecord(pkt.ts, ip, tcp, pkt.payload))

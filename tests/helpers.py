@@ -56,6 +56,7 @@ from evasionlab.packets import (
     PacketRecord,
     TcpHeader,
     evolve,
+    tcp_checksum,
 )
 from evasionlab.pcapio import (
     ETH_HEADER_LEN,
@@ -100,7 +101,8 @@ def reference_feature_matrix(trace: FlowTrace) -> np.ndarray:
     (len(trace), 16), float32.
 
     The sequence delta of the first TCP packet reads 0: it sets the
-    stream's first expectation.
+    stream's first expectation. Dim 4 compares the stored TCP checksum with
+    the byte-level checksum of the header encoded with the field zeroed.
     """
     rows = np.empty((len(trace.packets), FEATURE_DIM), dtype=np.float32)
     expected_seq: int | None = None
@@ -121,7 +123,9 @@ def reference_feature_matrix(trace: FlowTrace) -> np.ndarray:
             # a fragment exposes no TCP header: dims 4-8 and 10-12 absent
             valid = length = flags = syn = seq_delta = mss = wscale = tsval = ABSENT
         else:
-            valid = 1.0 if pkt.tcp_checksum_valid() else 0.0
+            zeroed = replace(tcp, checksum=0).encode()
+            computed = tcp_checksum(ip.src_addr, ip.dst_addr, zeroed, pkt.payload)
+            valid = 1.0 if computed == tcp.checksum else 0.0
             length = len(pkt.payload)
             flags = tcp.flags & 0x3F
             syn = 1 if tcp.flags & TCP_SYN else 0
@@ -272,6 +276,8 @@ def reference_apply_evasion(
     if label in (EvasionLabel.IP_FRAG, EvasionLabel.TCP_SEG):
         if not any(p.payload for p in trace.packets if p.tcp is not None):
             raise EmptyPayloadError(f"{label.tag} needs at least one payload-bearing packet")
+    if label is EvasionLabel.IP_OPT and any(len(p.ip.options) > 32 for p in trace.packets):
+        raise ValueError("ip_opt needs 8 free IP option bytes; a header has fewer")
     if label is EvasionLabel.TCP_OPT:
         tsval = rng.randrange(1, 1 << 31)
     out: list[PacketRecord] = []
@@ -340,7 +346,7 @@ def reference_apply_evasion(
                 options = struct.pack("!BBBBII", TCP_OPT_NOP, TCP_OPT_NOP,
                                       TCP_OPT_TIMESTAMP, 10, (tsval + j) & 0xFFFFFFFF, 0)
             out.append(pkt.with_checksums(
-                {"total_length": ip.total_length + len(options)},
+                {"total_length": ip.total_length + len(options) - len(tcp.options)},
                 {"data_offset": 5 + len(options) // 4, "options": options},
             ))
         else:  # TCP_SEG

@@ -2,8 +2,10 @@
 
 The fixed expected values below were derived by hand with one's-complement
 arithmetic; the hypothesis properties check algebraic facts that hold for
-any implementation of RFC 1071, and compare the in-place validity checks
-and ``with_checksums`` with the zeroed-copy formulas written out here.
+any implementation of RFC 1071, compare the sums that headers take from
+their fields with the byte-level checksums of their encodings, and compare
+the in-place validity checks and ``with_checksums`` with the zeroed-copy
+formulas written out here.
 """
 
 import struct
@@ -21,6 +23,7 @@ from evasionlab.packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
+    _zeroed_tcp_checksum,
     ipv4_checksum,
     tcp_checksum,
 )
@@ -209,3 +212,90 @@ def test_ip_reserved_bit_keeps_a_wire_valid_header_checksum_valid():
     pkt = PacketRecord.decode(raw)
     assert pkt.encode() == raw
     assert pkt.ip.checksum_valid() and pkt.tcp_checksum_valid()
+
+
+# -- field sums against the byte-level checksums -----------------------------
+
+
+u16 = st.integers(0, 0xFFFF)
+u32 = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def ip_headers(draw):
+    """Any valid header: every ihl with its options, every flag and
+    fragment offset, and any stored checksum."""
+    ihl = draw(st.integers(5, 15))
+    frag_offset = draw(st.integers(0, 0x1FFF))
+    carried = draw(st.integers(0, min(0xFFFF - ihl * 4, 0xFFFF - frag_offset * 8)))
+    return Ipv4Header(
+        ihl, draw(st.integers(0, 255)), ihl * 4 + carried, draw(u16), draw(st.integers(0, 7)),
+        frag_offset, draw(st.integers(0, 255)), draw(st.integers(0, 255)), draw(u16),
+        draw(u32), draw(u32), draw(st.binary(min_size=(ihl - 5) * 4, max_size=(ihl - 5) * 4)),
+    )
+
+
+@st.composite
+def tcp_segments(draw):
+    """A record with any valid TCP header (every data offset with its
+    options, all 12 flag bits, any stored checksum) and 0 to 1500 payload
+    bytes, odd lengths included."""
+    data_offset = draw(st.integers(5, 15))
+    tcp = TcpHeader(
+        draw(u16), draw(u16), draw(u32), draw(u32), data_offset, draw(st.integers(0, 0xFFF)),
+        draw(u16), draw(u16), draw(u16),
+        draw(st.binary(min_size=(data_offset - 5) * 4, max_size=(data_offset - 5) * 4)),
+    )
+    payload = draw(st.binary(max_size=1500))
+    ip = make_ip(len(payload), tcp_len=tcp.header_length, src=draw(u32), dst=draw(u32))
+    return PacketRecord(0.0, ip, tcp, payload)
+
+
+def zero_checksum_ip() -> Ipv4Header:
+    # the zeroed checksum c of a header with a zero option word, carried in
+    # that word, brings the sum to 0xFFFF, so the checksum becomes 0x0000
+    c = make_ip(4, ihl=6, options=bytes(4))._zeroed_checksum()
+    return make_ip(4, ihl=6, options=c.to_bytes(2, "big") + bytes(2))
+
+
+def zero_checksum_segment() -> PacketRecord:
+    pkt = make_packet(7, b"\x00\x00")
+    return make_packet(7, pkt.tcp.checksum.to_bytes(2, "big"))
+
+
+def ip_bytes_zeroed(ip: Ipv4Header) -> bytes:
+    wire = bytearray(ip.encode())
+    wire[10:12] = bytes(2)
+    return bytes(wire)
+
+
+@given(ip_headers())
+@example(zero_checksum_ip())
+def test_ip_field_sum_matches_the_byte_level_checksum(ip):
+    assert ip._zeroed_checksum() == ipv4_checksum(ip_bytes_zeroed(ip))
+
+
+@given(tcp_segments())
+@example(zero_checksum_segment())
+def test_tcp_field_sum_matches_the_byte_level_checksum(pkt):
+    ip, tcp = pkt.ip, pkt.tcp
+    zeroed = replace(tcp, checksum=0).encode()
+    expected = tcp_checksum(ip.src_addr, ip.dst_addr, zeroed, pkt.payload)
+    assert _zeroed_tcp_checksum(ip, tcp, pkt.payload) == expected == zeroed_tcp_checksum(pkt)
+
+
+def test_field_sums_reach_a_zero_checksum():
+    assert zero_checksum_ip()._zeroed_checksum() == 0x0000
+    assert ipv4_checksum(ip_bytes_zeroed(zero_checksum_ip())) == 0x0000
+    pkt = zero_checksum_segment()
+    assert _zeroed_tcp_checksum(pkt.ip, pkt.tcp, pkt.payload) == 0x0000
+
+
+def test_tcp_field_sum_rejects_a_segment_past_65535_bytes():
+    tcp = TcpHeader(1, 2, 0, 0, data_offset=6, options=bytes(4))
+    ip = make_ip(0)
+    fits = bytes(0xFFFF - tcp.header_length)
+    assert _zeroed_tcp_checksum(ip, tcp, fits) == tcp_checksum(ip.src_addr, ip.dst_addr,
+                                                               tcp.encode(), fits)
+    with pytest.raises(ValueError, match="exceeds 65535"):
+        _zeroed_tcp_checksum(ip, tcp, fits + b"\x00")

@@ -1,6 +1,7 @@
 """Header encode/decode round-trips, field validation and frozen copies."""
 
 import dataclasses
+import io
 import struct
 
 import pytest
@@ -21,6 +22,7 @@ from evasionlab.packets import (
     TcpHeader,
     evolve,
 )
+from evasionlab.pcapio import write_pcap
 from helpers import (
     addr_to_str,
     flow_key_of,
@@ -399,3 +401,46 @@ def test_evolve_validates_the_copy():
         evolve(pkt.tcp, data_offset=6)
     with pytest.raises(ValueError):
         evolve(pkt, payload=b"hello!")  # total_length still counts 5 bytes
+
+
+# -- kept checksum sums --------------------------------------------------------
+
+
+def test_copies_compute_their_own_verdicts():
+    pkt = make_packet(1000, b"hello")
+    assert pkt.ip.checksum_valid() and pkt.tcp_checksum_valid()  # both kept now
+    assert pkt.ip._zeroed == pkt.ip.checksum and pkt._tcp_valid is True
+    for older in (evolve(pkt.ip, ttl=63), dataclasses.replace(pkt.ip, ttl=63)):
+        assert older._zeroed is None and not older.checksum_valid()
+    assert pkt.ip.with_checksum(ttl=63).checksum_valid()
+    for other in (evolve(pkt, payload=b"jello"), dataclasses.replace(pkt, payload=b"jello")):
+        assert other._tcp_valid is None and not other.tcp_checksum_valid()
+    broken = evolve(pkt, ip=evolve(pkt.ip, checksum=0), tcp=evolve(pkt.tcp, checksum=0))
+    assert not broken.ip.checksum_valid() and not broken.tcp_checksum_valid()
+    fixed = broken.with_checksums()
+    assert fixed.ip.checksum_valid() and fixed.tcp_checksum_valid()
+    assert fixed.encode() == pkt.encode()
+
+
+def test_kept_sums_are_not_fields():
+    used, fresh = make_packet(1000, b"hello"), make_packet(1000, b"hello")
+    assert used.ip.checksum_valid() and used.tcp_checksum_valid()
+    assert fresh._tcp_valid is None
+    assert [f.name for f in dataclasses.fields(Ipv4Header)] == [
+        "ihl", "tos", "total_length", "identification", "flags", "frag_offset", "ttl",
+        "protocol", "checksum", "src_addr", "dst_addr", "options", "version",
+    ]
+    assert [f.name for f in dataclasses.fields(PacketRecord)] == ["ts", "ip", "tcp", "payload"]
+    for a, b in ((used, fresh), (used.ip, fresh.ip)):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def test_an_out_of_range_field_fails_at_encode():
+    # the checksum is summed from the fields, so it never packs them; the
+    # first encoding, here the capture write, is what rejects the byte
+    ip = make_ip(5, tos=256)._write_checksum()
+    pkt = dataclasses.replace(make_packet(1000, b"hello"), ip=ip)
+    with pytest.raises(struct.error):
+        ip.encode()
+    with pytest.raises(struct.error):
+        write_pcap(io.BytesIO(), [pkt])

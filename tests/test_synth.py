@@ -37,7 +37,7 @@ from evasionlab.synth import (
     build_labeled_corpus,
     generate_clean_flow,
 )
-from helpers import option_blocks, reference_apply_evasion
+from helpers import option_blocks, reference_apply_evasion, reference_feature_matrix
 
 ALL_LABELS = list(EvasionLabel)
 
@@ -230,6 +230,24 @@ def test_tcp_opt_syn_gets_mss():
         assert pkt.tcp_checksum_valid()
     assert tsvals == sorted(tsvals)
     assert len(set(tsvals)) == len(tsvals)
+
+
+def test_tcp_opt_replaces_the_options_a_segment_carries():
+    trace = clean()
+    out = trace
+    for seed in range(3):
+        out = apply_evasion(out, EvasionLabel.TCP_OPT, params(seed=seed))
+    assert [p.tcp.data_offset for p in out.packets] == [6] + [8] * (len(trace.packets) - 1)
+    assert normalize_receive(out).delivered == normalize_receive(trace).delivered
+
+
+def test_ip_opt_needs_8_free_option_bytes():
+    out = clean()
+    for _ in range(5):
+        out = apply_evasion(out, EvasionLabel.IP_OPT, params())
+    assert {p.ip.ihl for p in out.packets} == {15}
+    with pytest.raises(ValueError, match="ip_opt needs 8 free IP option bytes"):
+        apply_evasion(out, EvasionLabel.IP_OPT, params())
 
 
 def test_tcp_seg_splits_at_seg_bytes():
@@ -498,6 +516,47 @@ def test_corpus_packet_counts_in_range():
     for trace, label in corpus:
         if label in (EvasionLabel.IP_OPT, EvasionLabel.IP_TOS):
             assert 4 <= len(trace.packets) <= 8
+
+
+def test_each_ip_header_is_summed_once_and_never_encoded(monkeypatch):
+    # synthesis sums each IP header from its fields as it writes the
+    # checksum and keeps the sum for the receiver; the features read the
+    # TCP verdict the receiver kept on each record
+    zeroed_checksum = Ipv4Header._zeroed_checksum
+    tcp_checksum_valid = PacketRecord.tcp_checksum_valid
+    encode = Ipv4Header.encode
+    ip_sums, tcp_verdicts, encoded = [], [], []
+
+    def counting_zeroed_checksum(self):
+        if self._zeroed is None:
+            ip_sums.append(self)
+        return zeroed_checksum(self)
+
+    def counting_tcp_checksum_valid(self):
+        if self._tcp_valid is None:
+            tcp_verdicts.append(self)
+        return tcp_checksum_valid(self)
+
+    def counting_encode(self):
+        encoded.append(self)
+        return encode(self)
+
+    monkeypatch.setattr(Ipv4Header, "_zeroed_checksum", counting_zeroed_checksum)
+    monkeypatch.setattr(PacketRecord, "tcp_checksum_valid", counting_tcp_checksum_valid)
+    monkeypatch.setattr(Ipv4Header, "encode", counting_encode)
+    flows = [trace for overlap in (False, True)
+             for trace, _ in build_labeled_corpus(2, params(overlap=overlap), seed=9)]
+    matrices = []
+    for trace in flows:
+        normalize_receive(trace)
+        matrices.append(feature_matrix(trace))
+    assert encoded == []
+    assert len({id(ip) for ip in ip_sums}) == len(ip_sums)
+    assert {id(p.ip) for trace in flows for p in trace.packets} <= {id(ip) for ip in ip_sums}
+    assert len({id(pkt) for pkt in tcp_verdicts}) == len(tcp_verdicts)
+    monkeypatch.undo()
+    for trace, matrix in zip(flows, matrices):
+        assert matrix.tobytes() == reference_feature_matrix(trace).tobytes()
 
 
 # Recorded from the build that copied headers with dataclasses.replace.
