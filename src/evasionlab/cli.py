@@ -48,8 +48,6 @@ from .features import (
     FRAME_MIN,
     FeatureSequence,
     extract_sequences,
-    feature_matrix,
-    window_matrix,
 )
 from .metrics import auc_trapezoid
 from .neural import (
@@ -181,17 +179,6 @@ def _synth_params(args) -> SynthParams:
         raise _UsageError(str(exc)) from None
 
 
-def _windows_from_corpus(corpus, frame: int) -> list[FeatureSequence]:
-    samples: list[FeatureSequence] = []
-    for trace, label in corpus:
-        matrix = feature_matrix(trace)
-        samples.extend(
-            FeatureSequence(rows=w, label=label)
-            for w in window_matrix(matrix, frame)
-        )
-    return samples
-
-
 def cmd_synth(args) -> int:
     params = _synth_params(args)
     if args.min_packets < FRAME_MIN:
@@ -204,7 +191,11 @@ def cmd_synth(args) -> int:
         payload_len_range=(args.min_payload, args.max_payload),
         include_clean=args.include_clean,
     )
-    samples = _windows_from_corpus(corpus, args.frame)
+    samples = [
+        window
+        for trace, label in corpus
+        for window in extract_sequences(trace, args.frame, label)
+    ]
     class_count = 9 if args.include_clean else 8
     count = write_dataset(samples, args.out, class_count=class_count)
     print(f"wrote {count} samples ({class_count} classes) to {args.out}")
@@ -411,7 +402,11 @@ def cmd_sweep(args) -> int:
 def cmd_bench(args) -> int:
     params = _synth_params(args)
     corpus = build_labeled_corpus(args.flows_per_class, params, seed=args.seed)
-    samples = _windows_from_corpus(corpus, args.frame)
+    samples = [
+        window
+        for trace, label in corpus
+        for window in extract_sequences(trace, args.frame, label)
+    ]
     train_set, _ = split(samples, args.split_seed, 0.8)
     base = TrainConfig(
         model=ModelConfig(hidden=args.hidden, classes=8, frame=args.frame,

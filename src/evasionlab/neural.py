@@ -12,30 +12,30 @@ bias. Gate blocks inside the 4H axis are ordered i, f, g, o. _param_shapes
 is the only place this order is written.
 
 Sequence handling: batches are (B, T, D) with a 0/1 mask (B, T) marking
-real steps; padding is always at the tail. Masked steps carry the previous
-state forward, so the state after step T-1 is the state at the last real
-step. The backward direction runs the same cell over each sample's
-reversed valid prefix; the padded tail stays in place.
+real steps; padding is always at the tail. The backward direction runs
+the same cell over each sample's reversed valid prefix; the padded tail
+stays in place. So in both directions' scans a sample's padded steps come
+after all of its real steps: the scan runs the cell on them like any other
+step, but no real step reads their state, the final readout takes each
+sample's state at its last real step, and the mean readout and BPTT give
+them zero weight.
 
 Scan layout: inside forward and backward everything is time-major. Each
 forward call allocates one float64 block that holds, for every layer and
-direction, the activated gate slab (T, B, 4H) and the carried c, the
-carried h and tanh of each step's fresh cell state (each (T, B, H));
-each direction's scan takes its slabs as views of the block, as the cell
-tensors are views of params. Nothing is pooled or reused across calls:
-the tape's caches view the block and keep it alive for backward. Each
-direction projects its whole input in one product, x (T*B, D) @ w_x.T,
-written into its gate slab, then adds b; each step then writes one
-recurrent product into a (B, 4H) buffer that every scan of the call
-reuses, adds it into its (B, 4H) row block and activates that with one
-tanh call (sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5 on i, f, o; the model
-builds the per-column constants once). Which steps have a padded sample
-is worked out once per forward call, and only those steps make the
-masked state copies. The backward direction reads its input through one
-gather index built from the lengths per forward call, and the same index
-puts its outputs and gradients back in input order. The tape also keeps
-each layer's time-major input; BPTT fills a gradient slab of the same
-(T, B, 4H) layout.
+direction, the activated gate slab (T, B, 4H) and each step's c, h and
+tanh(c) (each (T, B, H)); each direction's scan takes its slabs as views
+of the block, as the cell tensors are views of params. Nothing is pooled
+or reused across calls: the tape's caches view the block and keep it
+alive for backward. Each direction projects its whole input in one
+product, x (T*B, D) @ w_x.T, written into its gate slab, then adds b;
+each step then writes one recurrent product into a (B, 4H) buffer that
+every scan of the call reuses, adds it into its (B, 4H) row block and
+activates that with one tanh call (sigmoid(a) = 0.5 * tanh(0.5 * a) + 0.5
+on i, f, o; the model builds the per-column constants once). The backward
+direction reads its input through one gather index built from the lengths
+per forward call, and the same index puts its outputs and gradients back
+in input order. The tape also keeps each layer's time-major input; BPTT
+fills a gradient slab of the same (T, B, 4H) layout.
 """
 
 from __future__ import annotations
@@ -182,14 +182,18 @@ class _DirectionCache:
     """One direction's scan, time-major, in the order the scan ran."""
 
     gates: np.ndarray  # activated gates [i f g o] (T, B, 4H)
-    c: np.ndarray  # carried cell states (T, B, H)
-    h: np.ndarray  # carried hidden states (T, B, H)
-    tanh_c: np.ndarray  # tanh of each step's fresh cell state (T, B, H)
+    c: np.ndarray  # cell states (T, B, H)
+    h: np.ndarray  # hidden states (T, B, H)
+    tanh_c: np.ndarray  # tanh of each step's cell state (T, B, H)
 
 
 @dataclass
 class ForwardTape:
-    """Everything backward() needs; consumed exactly once."""
+    """Everything backward() needs; consumed exactly once.
+
+    The caches' slabs and the layer inputs hold, at padded steps, whatever
+    the scan computed from the padding; backward multiplies them by zero.
+    """
 
     x: np.ndarray
     mask: np.ndarray
@@ -255,14 +259,11 @@ class BiLstmModel:
     def _run_direction(
         self,
         z: np.ndarray,
-        carry: list[np.ndarray | None],
         cell: LstmCellParams,
         block: np.ndarray,
         rec: np.ndarray,
     ) -> _DirectionCache:
-        """Scan one cell over time-major inputs z (T, B, D). carry[t] is
-        None when no sample's step t is padded, else the (B, 1) mask of the
-        samples whose step t carries the previous state. block (7, T, B, H)
+        """Scan one cell over time-major inputs z (T, B, D). block (7, T, B, H)
         holds the scan's slabs: the gates in its first four (T, B, H) planes,
         read as one (T, B, 4H) slab, then c, h and tanh_c. rec (B, 4H) is
         scratch for one step's recurrent product."""
@@ -277,8 +278,8 @@ class BiLstmModel:
         w_h_t = cell.w_h.T
         scale, shift = self._gate_scale, self._gate_shift
         c_prev = h_prev = None  # the state before step 0 is zero
-        for a, i, f, g, o, c_t, h_t, tanh_t, where in zip(
-            gates, gate_i, gate_f, gate_g, gate_o, c, hs, tanh_c, carry
+        for a, i, f, g, o, c_t, h_t, tanh_t in zip(
+            gates, gate_i, gate_f, gate_g, gate_o, c, hs, tanh_c
         ):
             if h_prev is not None:
                 np.matmul(h_prev, w_h_t, out=rec)
@@ -293,9 +294,6 @@ class BiLstmModel:
                 c_t += f_c
             np.tanh(c_t, out=tanh_t)
             np.multiply(o, tanh_t, out=h_t)
-            if where is not None:
-                np.copyto(c_t, c_prev, where=where)
-                np.copyto(h_t, h_prev, where=where)
             c_prev, h_prev = c_t, h_t
         return _DirectionCache(gates, c, hs, tanh_c)
 
@@ -326,13 +324,6 @@ class BiLstmModel:
 
         b_sz, t_len = mask.shape
         h = cfg.hidden
-        padded = mask.T == 0.0
-        pad = padded[:, :, None]
-        # padded samples carry the previous state; step 0 is real in every sample
-        carry = [
-            pad[t] if t and any_padded else None
-            for t, any_padded in enumerate(padded.any(axis=1).tolist())
-        ]
         # one block for every scan's slabs; the tape's caches keep it alive
         blocks = np.empty((cfg.layers, cfg.directions, 7, t_len, b_sz, h))
         rec = np.empty((b_sz, 4 * h))  # every scan's recurrent product, step by step
@@ -344,10 +335,10 @@ class BiLstmModel:
         last = len(self.layers) - 1
         for li, cells in enumerate(self.layers):
             layer_inputs.append(cur)
-            layer_caches = [self._run_direction(cur, carry, cells[0], blocks[li, 0], rec)]
+            layer_caches = [self._run_direction(cur, cells[0], blocks[li, 0], rec)]
             if reversal is not None:
                 layer_caches.append(self._run_direction(
-                    _gather_rows(cur, reversal), carry, cells[1], blocks[li, 1], rec
+                    _gather_rows(cur, reversal), cells[1], blocks[li, 1], rec
                 ))
             caches.append(layer_caches)
             if reversal is not None:
@@ -369,10 +360,11 @@ class BiLstmModel:
                     cur = out
 
         if cfg.readout == READOUT_FINAL:
-            rep = np.concatenate(
-                [c.h[-1] for c in caches[-1]], axis=1
-            )  # carried final state = last real step
+            # each direction's state at each sample's last real scan step
+            last_step = lengths - 1, np.arange(b_sz)
+            rep = np.concatenate([c.h[last_step] for c in caches[-1]], axis=1)
         else:
+            pad = (mask.T == 0.0)[:, :, None]
             counts = lengths.astype(np.float64)[:, None]
             rep = np.where(pad, 0.0, out).sum(axis=0) / counts
 
@@ -406,9 +398,9 @@ class BiLstmModel:
         into grad and returns dz (input order), or None unless need_dz.
 
         d_h is the upstream gradient of each step's h, time-major in scan
-        order. It is zero on padded steps: a padded step only copies the
-        state, so with nothing arriving from above or from later steps it
-        passes nothing back, and the scan needs no mask. z is the layer input
+        order. It is zero on padded steps, and padded steps follow every
+        real step in scan order, so nothing flows back from them: their
+        d_a is zero and the scan needs no mask. z is the layer input
         in input step order; rows, when given, is the reversal between the
         two orders.
         """
@@ -485,7 +477,7 @@ class BiLstmModel:
 
         # Per-step upstream gradient for the top layer's concatenated output.
         if cfg.readout == READOUT_FINAL:
-            # The carried final state is h at each sample's last real step:
+            # The final state is h at each sample's last real scan step:
             # input step lengths - 1 forward, input step 0 backward.
             d_out = np.zeros((t_len, b_sz, cfg.rep_dim))
             d_out[tape.lengths - 1, np.arange(b_sz), :h] = d_rep[:, :h]

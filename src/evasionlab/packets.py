@@ -1,11 +1,10 @@
 """Typed IPv4/TCP packet model with byte-exact serialization.
 
 All header types are frozen dataclasses and nothing mutates a packet once
-it is shared. The transforms of :mod:`evasionlab.synth` build each new
-header with one positional constructor call, reading unchanged fields from
-the source header; :func:`evolve` makes a validated copy with some fields
-changed, for callers that change a few fields of one header. Addresses are
-kept as 32-bit ints; helpers convert to/from dotted quads for display only.
+it is shared. The transforms of :mod:`evasionlab.synth` and the receiver's
+reassembly build each new header with one positional constructor call,
+reading unchanged fields from the source header. Addresses are kept as
+32-bit ints; helpers convert to/from dotted quads for display only.
 
 Each header field holds the wire's bits. ``Ipv4Header.flags`` is the 3-bit
 field above the fragment offset (reserved, ``IP_DF``, ``IP_MF``) and
@@ -17,12 +16,12 @@ decodes, whatever its option bytes hold. Readers of option values walk the
 bytes themselves (see :mod:`evasionlab.features`).
 
 ``Ipv4Header.with_checksum`` and ``PacketRecord.with_checksums`` are the
-public copy API: they take the field changes themselves, so a rewritten
-packet costs one copy per header it changes plus one record. A header's
-``_write_checksum`` computes its checksum and writes it into the header
-(XOR a mask, for chaff whose checksum must be wrong); it is only called on
-a header just built that nothing else holds yet, so no shared header ever
-changes.
+public copy API: they take the field changes themselves and copy with
+``dataclasses.replace``, so an unknown field raises ``TypeError`` and the
+copy's ``__post_init__`` validates it. A header's ``_write_checksum``
+computes its checksum and writes it into the header (XOR a mask, for chaff
+whose checksum must be wrong); it is only called on a header just built
+that nothing else holds yet, so no shared header ever changes.
 
 Checksums are summed from the header fields, never from the stored
 checksum, so a packet that arrives with a wrong checksum leaves with a
@@ -43,19 +42,15 @@ field zeroed (``_write_checksum`` fills it as it writes the field), and a
 record keeps its TCP verdict. Both depend only on frozen fields other than
 a checksum that ``_write_checksum`` may still write, so a kept value never
 goes stale. They are plain class attributes, not dataclass fields: copies
-made by ``evolve`` or ``dataclasses.replace`` compute their own, and
-``==``, ``hash`` and ``repr`` never see them.
+made by ``dataclasses.replace`` compute their own, and ``==``, ``hash`` and
+``repr`` never see them.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 import struct
-from collections import deque
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from .errors import OddLengthError
@@ -88,46 +83,10 @@ TCP_ACK = 0x10
 TCP_URG = 0x20
 
 
-# evolve sets each field of a copy directly, past the frozen __setattr__
-_new = object.__new__
+# writes a just-built header's checksum and memos past the frozen __setattr__
 _setattr = object.__setattr__
-_consume = deque(maxlen=0).extend  # runs an iterator to its end
 
 _NO_CHANGES: Mapping = MappingProxyType({})
-
-
-@functools.cache
-def _field_reader(cls: type) -> tuple[tuple[str, ...], operator.attrgetter]:
-    """The field names of a packet dataclass and a getter of their values.
-
-    Every packet dataclass has several fields, so the getter returns a tuple.
-    """
-    names = tuple(cls.__dataclass_fields__)
-    return names, operator.attrgetter(*names)
-
-
-def evolve(obj, **changes):
-    """Copy of the frozen packet dataclass ``obj`` with ``changes`` applied.
-
-    The same result as ``dataclasses.replace``, without its field walk in
-    Python and the generated ``__init__``: C-level loops set the copy's
-    fields in field order, as ``__init__`` does, so the copy is laid out
-    like a constructed instance and its fields read as fast. (A copy given
-    a copied ``__dict__`` is cheaper to make, but CPython 3.11 reads its
-    fields on an unspecialized, slower path.) As with ``replace``, an
-    unknown field name raises ``TypeError`` and the copy's
-    ``__post_init__`` runs, so an invalid change raises ``ValueError``.
-    """
-    cls = type(obj)
-    names, values_of = _field_reader(cls)
-    if not changes.keys() <= cls.__dataclass_fields__.keys():
-        unknown = sorted(changes.keys() - cls.__dataclass_fields__.keys())
-        raise TypeError(f"{cls.__name__} has no field(s) {', '.join(unknown)}")
-    new = _new(cls)
-    _consume(map(_setattr, repeat(new), names, values_of(obj)))
-    _consume(map(_setattr, repeat(new), changes.keys(), changes.values()))
-    new.__post_init__()
-    return new
 
 
 def ipv4_checksum(data: bytes) -> int:
@@ -298,7 +257,7 @@ class Ipv4Header:
         The checksum is computed from the copy's fields with the field
         zeroed and written into the copy before it is returned.
         """
-        return evolve(self, **changes)._write_checksum()
+        return replace(self, **changes)._write_checksum()
 
     def checksum_valid(self) -> bool:
         """Whether the stored checksum equals the one computed with the
@@ -472,17 +431,17 @@ class PacketRecord:
         one. Each checksum is computed on the new header and written into
         it before the copy is returned.
         """
-        ip = evolve(self.ip, **ip_changes)._write_checksum()
+        ip = replace(self.ip, **ip_changes)._write_checksum()
         tcp = self.tcp
         if tcp is not None:
             payload = changes.get("payload", self.payload)
             if tcp_changes:
-                tcp = evolve(tcp, **tcp_changes)._write_checksum(ip, payload)
+                tcp = replace(tcp, **tcp_changes)._write_checksum(ip, payload)
             else:
                 checksum = _zeroed_tcp_checksum(ip, tcp, payload)
                 if checksum != tcp.checksum:
-                    tcp = evolve(tcp, checksum=checksum)
-        return evolve(self, ip=ip, tcp=tcp, **changes)
+                    tcp = replace(tcp, checksum=checksum)
+        return replace(self, ip=ip, tcp=tcp, **changes)
 
     _tcp_valid = None  # the verdict tcp_checksum_valid computed, once it has
 

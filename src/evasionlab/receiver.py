@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteStreamError
-from .packets import IP_MF, TCP_SYN, FlowTrace, PacketRecord, TcpHeader, evolve
+from .packets import IP_MF, TCP_SYN, FlowTrace, Ipv4Header, PacketRecord, TcpHeader
 
 
 @dataclass
@@ -78,12 +78,13 @@ def _reassemble_fragments(
         return None
     payload = bytes(buf[:total_len])
 
-    first = min(fragments, key=lambda pair: (pair[1].ip.frag_offset, pair[0]))[1]
-    ip = evolve(
-        first.ip,
-        flags=first.ip.flags & ~IP_MF,
-        frag_offset=0,
-        total_length=first.ip.header_length + total_len,
+    first = fragments[0][1]  # lowest offset; the first arrival on a tie
+    head = first.ip
+    # the first fragment's header with MF cleared, offset 0 and the whole length
+    ip = Ipv4Header(
+        head.ihl, head.tos, head.header_length + total_len, head.identification,
+        head.flags & ~IP_MF, 0, head.ttl, head.protocol, head.checksum,
+        head.src_addr, head.dst_addr, head.options,
     )
     try:
         tcp = TcpHeader.decode(payload)

@@ -20,7 +20,7 @@ from .errors import (
     EmptyDatasetError,
     EmptyTestSetError,
 )
-from .features import FeatureScaler, FeatureSequence, window_matrix
+from .features import FeatureScaler, FeatureSequence, feature_matrix, window_matrix
 from .metrics import (
     confusion_matrix,
     macro_accuracy,
@@ -199,8 +199,6 @@ def sweep(
 ) -> list[SweepRow]:
     """Grid run mirroring the optimizer/lr/dropout table, one accuracy
     column per frame length. Per-run failures mark the row, never abort."""
-    from .features import feature_matrix
-
     matrices = [(feature_matrix(t), label) for t, label in traces_with_labels]
     per_frame_splits: dict[int, tuple[list, list]] = {}
     for frame in frames:

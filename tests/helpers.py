@@ -55,7 +55,6 @@ from evasionlab.packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
-    evolve,
     tcp_checksum,
 )
 from evasionlab.pcapio import (
@@ -256,11 +255,11 @@ def assert_table_path_matches_reference(raw: bytes) -> None:
 
 
 def _flip_ip_checksum(pkt: PacketRecord) -> PacketRecord:
-    return evolve(pkt, ip=evolve(pkt.ip, checksum=pkt.ip.checksum ^ 0xFFFF))
+    return replace(pkt, ip=replace(pkt.ip, checksum=pkt.ip.checksum ^ 0xFFFF))
 
 
 def _flip_tcp_checksum(pkt: PacketRecord) -> PacketRecord:
-    return evolve(pkt, tcp=evolve(pkt.tcp, checksum=pkt.tcp.checksum ^ 0xFFFF))
+    return replace(pkt, tcp=replace(pkt.tcp, checksum=pkt.tcp.checksum ^ 0xFFFF))
 
 
 def reference_apply_evasion(

@@ -176,11 +176,11 @@ def ragged_batch(config, seed):
 
 
 def reference_logits(model, x, mask):
-    """Plain per-sample scan of lstm_cell_forward.
+    """Plain per-sample scan of lstm_cell_forward over the real steps only.
 
-    Padded steps carry the state (documented carry rule); the backward
-    direction reads each sample's valid prefix reversed and leaves the
-    padded tail in place (documented reversal rule).
+    The backward direction reads each sample's valid prefix reversed
+    (documented reversal rule). Padded steps are never run: no real step
+    reads them, and the readouts take only real steps.
     """
     cfg = model.config
     logits = []
@@ -191,16 +191,12 @@ def reference_logits(model, x, mask):
         for cells in model.layers:
             outputs, finals = [], []
             for di, cell in enumerate(cells):
-                order = list(range(t_len)) if di == 0 else (
-                    list(range(n - 1, -1, -1)) + list(range(n, t_len))
-                )
+                order = range(n) if di == 0 else range(n - 1, -1, -1)
                 h = np.zeros(cfg.hidden)
                 c = np.zeros(cfg.hidden)
-                hs = np.empty((t_len, cfg.hidden))
-                for k, t in enumerate(order):
-                    h_new, c_new = lstm_cell_forward(seq[t], h, c, cell)
-                    if k < n:
-                        h, c = h_new, c_new
+                hs = np.zeros((t_len, cfg.hidden))
+                for t in order:
+                    h, c = lstm_cell_forward(seq[t], h, c, cell)
                     hs[t] = h
                 outputs.append(hs)
                 finals.append(h)
@@ -379,21 +375,24 @@ def test_saturated_gates_stay_finite():
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_padding_does_not_change_logits(config):
+    # what the padded steps hold must not reach a single bit of the logits
+    # or the gradients, with or without dropout
     model = BiLstmModel.initialize(config, seed=3)
-    rng = np.random.default_rng(4)
-    rows = rng.normal(size=(3, 4))
-
-    trimmed = np.zeros((1, 3, 4))
-    trimmed[0] = rows
-    logits_a, _ = model.forward(trimmed, np.ones((1, 3)))
-
-    padded = rng.normal(size=(1, 6, 4))  # junk everywhere
-    padded[0, :3] = rows
-    mask = np.zeros((1, 6))
-    mask[0, :3] = 1.0
-    logits_b, _ = model.forward(padded, mask)
-
-    assert np.allclose(logits_a, logits_b, atol=1e-12)
+    x, mask, labels = ragged_batch(config, seed=4)
+    padded = mask == 0.0
+    fills = (x[padded], np.random.default_rng(5).uniform(-1e6, 1e6, size=x[padded].shape))
+    for dropout in (0.0, 0.3):
+        results = []
+        for fill in fills:
+            junk = x.copy()
+            junk[padded] = fill
+            logits, tape = model.forward(
+                junk, mask, train=dropout > 0.0, dropout=dropout, dropout_seed=6
+            )
+            results.append((logits, model.backward(tape, labels)))
+        (logits_a, grads_a), (logits_b, grads_b) = results
+        assert np.array_equal(logits_a, logits_b)
+        assert np.array_equal(grads_a, grads_b)
 
 
 def test_batching_does_not_change_logits():

@@ -5,16 +5,18 @@ would deliver: which packets get dropped, how fragments and segments
 reassemble, and which malformed flows are rejected outright.
 """
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evasionlab.errors import IncompleteStreamError
-from evasionlab.packets import FlowTrace, PacketRecord
-from evasionlab.receiver import _claim, normalize_receive
-from helpers import SRC, SPORT, DST, DPORT, handshake_trace, make_fragment, make_packet
+from evasionlab.packets import IP_DF, IP_MF, FlowTrace, PacketRecord
+from evasionlab.receiver import _claim, _reassemble_fragments, normalize_receive
+from helpers import (
+    SRC, SPORT, DST, DPORT, handshake_trace, make_fragment, make_ip, make_packet,
+)
 
 
 KEY = (SRC, SPORT, DST, DPORT)
@@ -109,6 +111,27 @@ def test_fragment_reassembly():
     report = normalize_receive(FlowTrace(key=KEY, packets=[trace.packets[0], f0, f1]))
     assert report.fragments_reassembled == 1
     assert report.delivered == b"0123456789abcdef"
+
+
+def test_reassembled_header_is_the_first_fragment_header_made_whole():
+    # every field differs from the others, so a swapped constructor argument
+    # shows; the TCP checksum covers neither TOS nor TTL
+    raw = handshake_trace([b"0123456789abcdef"]).packets[1].ip_payload()
+    options = bytes(range(1, 9))  # kept as raw bytes; nothing parses them
+
+    def fragment(offset_units, data, flags, ts):
+        ip = make_ip(len(data), ihl=7, tcp_len=0, ident=0x1234, ttl=57, tos=0x28,
+                     flags=flags, offset=offset_units, options=options)
+        return PacketRecord(ts=ts, ip=ip, tcp=None, payload=data).with_checksums()
+
+    first = fragment(0, raw[:24], IP_DF | IP_MF, 0.1)
+    last = fragment(3, raw[24:], IP_DF, 0.1001)
+    packet = _reassemble_fragments([last, first])
+    expected = replace(first.ip, flags=IP_DF, frag_offset=0,
+                       total_length=first.ip.header_length + len(raw))
+    assert astuple(packet.ip) == astuple(expected)
+    assert packet.ip == expected and packet.ts == first.ts
+    assert packet.tcp.encode() + packet.payload == raw
 
 
 def test_fragment_hole_is_fatal():

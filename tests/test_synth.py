@@ -7,6 +7,7 @@ observer: a strict endpoint reassembles exactly the clean payload.
 import collections
 import hashlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from evasionlab.packets import (
     Ipv4Header,
     PacketRecord,
     TcpHeader,
-    evolve,
 )
 from evasionlab.pcapio import write_pcap
 from evasionlab.receiver import normalize_receive
@@ -300,8 +300,8 @@ def test_transform_drop_accounting():
 def with_wrong_checksums(trace):
     """The trace with every IP and TCP checksum off by one bit."""
     return FlowTrace(key=trace.key, packets=[
-        evolve(p, ip=evolve(p.ip, checksum=p.ip.checksum ^ 1),
-               tcp=evolve(p.tcp, checksum=p.tcp.checksum ^ 1))
+        replace(p, ip=replace(p.ip, checksum=p.ip.checksum ^ 1),
+                tcp=replace(p.tcp, checksum=p.tcp.checksum ^ 1))
         for p in trace.packets
     ])
 
